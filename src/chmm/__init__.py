@@ -35,13 +35,8 @@ from .constraints import (
 from .decoder import (
     Chmm,
     DecodeStats,
-    DecoderTuple,
-    best_tuple,
     brute_force_constrained,
     constrained_viterbi,
-    expand_step,
-    init_tuples,
-    prune_step,
     validate_chmm,
 )
 from .hmm import Hmm, Run, run_log_probability, validate_model, viterbi
@@ -80,7 +75,6 @@ __all__ = [
     "ConstraintStore",
     "ConstraintSyntaxError",
     "DecodeStats",
-    "DecoderTuple",
     "ForRange",
     "ForallSubseq",
     "Hmm",
@@ -97,7 +91,6 @@ __all__ = [
     "align_plain",
     "alignment_log_probability",
     "as_pattern",
-    "best_tuple",
     "brute_force_align",
     "brute_force_constrained",
     "build_pair_chmm",
@@ -105,18 +98,15 @@ __all__ = [
     "check_sat",
     "constrained_viterbi",
     "declarative_satisfies",
-    "expand_step",
     "format_constraint",
     "format_model",
     "gapped_strings",
     "init_aggregate",
     "init_store",
-    "init_tuples",
     "ops_from_letters",
     "parse_constraint",
     "parse_constraints",
     "parse_model",
-    "prune_step",
     "read_fasta",
     "run_log_probability",
     "uniform_pair_params",

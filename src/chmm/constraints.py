@@ -310,6 +310,8 @@ def declarative_satisfies(spec: ConstraintSpec, history: Sequence[StateUpdate]) 
 
 
 def _canon(value) -> str:
+    # Canonical text of a store component; the property tests use it to
+    # check that equal stores serialize identically.
     if value is None:
         return "-"
     if isinstance(value, tuple):
@@ -329,10 +331,6 @@ class ConstraintStore:
     """
 
     parts: tuple[object, ...]
-
-    def signature(self) -> str:
-        """Deterministic serialization; the decoder's pruning key."""
-        return _canon(self.parts)
 
 
 def init_aggregate(specs: Sequence[ConstraintSpec]) -> ConstraintStore:
@@ -367,6 +365,11 @@ def check_constraints(
 
 class ConstraintSyntaxError(ValueError):
     pass
+
+
+# Combinators may nest at most this deep; the parser, the checkers and the
+# declarative semantics all recurse once per level.
+MAX_NESTING_DEPTH = 64
 
 
 def parse_constraint(text: str) -> ConstraintSpec:
@@ -434,7 +437,11 @@ class _Parser:
             raise ConstraintSyntaxError(f"expected an integer, got {tok!r}")
         return int(tok)
 
-    def parse_spec(self) -> ConstraintSpec:
+    def parse_spec(self, depth: int = 0) -> ConstraintSpec:
+        if depth > MAX_NESTING_DEPTH:
+            raise ConstraintSyntaxError(
+                f"constraint nests deeper than {MAX_NESTING_DEPTH} levels"
+            )
         name = self.take()
         if name == "alldiff":
             if self.peek() == "(":
@@ -464,19 +471,19 @@ class _Parser:
             self.expect(",")
             last = self.parse_int()
             self.expect(",")
-            child = self.parse_spec()
+            child = self.parse_spec(depth + 1)
             self.expect(")")
             return ForRange(first, last, child)
         if name == "forall_subseq":
             self.expect("(")
             window = self.parse_int()
             self.expect(",")
-            child = self.parse_spec()
+            child = self.parse_spec(depth + 1)
             self.expect(")")
             return ForallSubseq(window, child)
         if name == "state_specific":
             self.expect("(")
-            child = self.parse_spec()
+            child = self.parse_spec(depth + 1)
             self.expect(")")
             return StateSpecific(child)
         raise ConstraintSyntaxError(f"unknown constraint name {name!r}")

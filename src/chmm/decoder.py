@@ -1,16 +1,25 @@
 """Constraint-pruned Viterbi decoding.
 
-Decoding proceeds level by level over the observation. Every partial path is
-summarized as a 5-part tuple (state, step index, log-probability, path,
-constraint store); expansion extends paths only along positive-probability
-edges whose updates the constraint checkers accept, and pruning keeps one
-best tuple per (state, store) group. Equal stores behave identically forever,
-so dropping the lower-probability member of a group can never discard the
-optimum.
+Every decoder in this package is one dynamic program, ``_lattice_viterbi``.
+It walks a lattice of nodes in topological order and keeps, per node, one
+best partial path per (state, constraint store) key. Expansion extends a path
+only along positive-probability edges whose update every constraint checker
+accepts. Equal stores behave identically forever, so dropping the
+lower-probability member of a key can never discard the optimum. Paths are
+kept as backpointers, so memory stays proportional to the table instead of
+table x path length. ``constrained_viterbi`` has one lattice node per
+observation level; ``pairhmm.align`` has one per (i, j) cell.
 
-``constrained_viterbi`` runs the same computation with backpointers instead
-of materialized paths, keyed by (level, state, store), so memory stays
-proportional to the table instead of table x path length.
+One tie rule holds everywhere: the candidate generated first wins a tie, and
+a strict improvement deletes its key and re-inserts it, so every table
+iterates in the order its winners were generated. Predecessors are expanded
+in that order and the HMM generates successors in state-name order, so
+``constrained_viterbi`` returns the lexicographically smallest optimal path,
+the one ``brute_force_constrained`` returns. The limit of the rule: ties are
+broken where partial paths merge. Two partial sums that are equal in exact
+arithmetic can differ in the last bit, and the merge then keeps the larger
+one even when a lexicographically smaller complete path ends with a
+bit-identical log-probability.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from typing import Optional, Sequence
 
 from .constraints import (
     ConstraintSpec,
-    ConstraintStore,
     StateUpdate,
     check_constraints,
     declarative_satisfies,
@@ -49,17 +57,6 @@ def validate_chmm(chmm: Chmm) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class DecoderTuple:
-    """One partial decode: where it is, what it scored, and its checker state."""
-
-    state: str
-    index: int
-    log_prob: float
-    path: tuple[str, ...]
-    store: ConstraintStore
-
-
 @dataclass
 class DecodeStats:
     """Counters for benchmarking: accepted expansions, domination drops, and
@@ -80,81 +77,76 @@ def _require_valid(chmm: Chmm) -> None:
         raise ValueError("invalid model: " + "; ".join(problems))
 
 
-def init_tuples(chmm: Chmm) -> set[DecoderTuple]:
-    """The single starting tuple: initial state, empty path, fresh stores."""
-    _require_valid(chmm)
-    s0 = chmm.hmm.initial_state
-    return {DecoderTuple(s0, 0, 0.0, (s0,), init_aggregate(chmm.constraints))}
+def _lattice_viterbi(specs, trans_log, source, lattice, sink, prune, stats):
+    """Best constraint-satisfying path from ``source`` to ``sink``.
 
-
-def expand_step(
-    chmm: Chmm, tuples: set[DecoderTuple], symbol: str
-) -> set[DecoderTuple]:
-    """Extend every tuple one step for the next observed symbol.
-
-    A successor state survives only if both the transition and its emission
-    of ``symbol`` are positive and every constraint checker accepts the
-    update; all tuples must sit at the same step index.
+    ``trans_log[s][t]`` is the log transition probability from state index s
+    to t, or None where the transition is impossible. The source node holds
+    state 0 with the initial stores. ``lattice`` yields ``(node, edges)`` in
+    topological order after the source; each edge is ``(predecessor node,
+    moves)`` and each move ``(t, emit_log, update, label)`` enters state t
+    with emission log-probability ``emit_log`` and constraint update
+    ``update``. Each node keeps one entry per (state, store) key, merged by
+    the tie rule in the module docstring; with ``prune=False`` every
+    candidate gets a key of its own, so nothing merges. Returns ``(log_prob,
+    labels)``, the labels of the best path's moves in order, or None.
     """
-    hmm = chmm.hmm
-    if symbol not in hmm.symbol_index:
-        raise ValueError(f"unknown symbol {symbol!r}")
-    indexes = {t.index for t in tuples}
-    if len(indexes) > 1:
-        raise ValueError(f"tuples span several step indexes: {sorted(indexes)}")
-    e_ix = hmm.symbol_index[symbol]
-    out: set[DecoderTuple] = set()
-    for t in tuples:
-        s_ix = hmm.state_index[t.state]
-        row = hmm.transitions[s_ix]
-        for j in range(1, len(hmm.states)):
-            p_trans = row[j - 1]
-            if p_trans <= 0.0:
-                continue
-            p_emit = hmm.emissions[j - 1][e_ix]
-            if p_emit <= 0.0:
-                continue
-            nxt = hmm.states[j]
-            store = check_constraints(
-                chmm.constraints, StateUpdate(nxt, (symbol,)), t.store
-            )
-            if store is None:
-                continue
-            lp = t.log_prob + math.log(p_trans) + math.log(p_emit)
-            out.add(DecoderTuple(nxt, t.index + 1, lp, t.path + (nxt,), store))
-    return out
+    start = init_aggregate(specs)
+    # A table maps a key to (log_prob, state, store, parent entry, label).
+    tables = {source: {(0, start): (0.0, 0, start, None, None)}}
+    total = 1
+    if stats:
+        stats._note_entries(total)
+    for node, edges in lattice:
+        table: dict = {}
+        for pred, moves in edges:
+            for parent in tables.get(pred, {}).values():
+                plp, s, store, _parent, _label = parent
+                row = trans_log[s]
+                for t, le, update, label in moves:
+                    lt = row[t]
+                    if lt is None:
+                        continue
+                    nstore = check_constraints(specs, update, store)
+                    if nstore is None:
+                        continue
+                    if stats:
+                        stats.expansions += 1
+                    nlp = plp + lt
+                    nlp += le
+                    if not prune:
+                        table[len(table)] = (nlp, t, nstore, parent, label)
+                        continue
+                    key = (t, nstore)
+                    old = table.get(key)
+                    if old is None:
+                        table[key] = (nlp, t, nstore, parent, label)
+                    else:
+                        if stats:
+                            stats.prunes += 1
+                        if nlp > old[0]:
+                            del table[key]
+                            table[key] = (nlp, t, nstore, parent, label)
+        if table:
+            tables[node] = table
+            total += len(table)
+            if stats:
+                stats._note_entries(total)
 
-
-def prune_step(tuples: set[DecoderTuple]) -> set[DecoderTuple]:
-    """Drop dominated tuples: among equal (state, store) groups keep the one
-    of maximal log-probability, breaking ties toward the smallest path."""
-    indexes = {t.index for t in tuples}
-    if len(indexes) > 1:
-        raise ValueError(f"tuples span several step indexes: {sorted(indexes)}")
-    best: dict[tuple[str, ConstraintStore], DecoderTuple] = {}
-    for t in tuples:
-        key = (t.state, t.store)
-        cur = best.get(key)
-        if (
-            cur is None
-            or t.log_prob > cur.log_prob
-            or (t.log_prob == cur.log_prob and t.path < cur.path)
-        ):
-            best[key] = t
-    return set(best.values())
-
-
-def best_tuple(tuples: set[DecoderTuple]) -> Optional[DecoderTuple]:
-    """Maximum-log-probability tuple, ties toward the smallest path."""
-    best: Optional[DecoderTuple] = None
-    for t in tuples:
-        if (
-            best is None
-            or t.log_prob > best.log_prob
-            or (t.log_prob == best.log_prob and t.path < best.path)
-        ):
-            best = t
-    return best
+    final = tables.get(sink)
+    if final is None:
+        return None
+    best = None
+    for entry in final.values():
+        if best is None or entry[0] > best[0]:
+            best = entry
+    labels = []
+    entry = best
+    while entry[3] is not None:
+        labels.append(entry[4])
+        entry = entry[3]
+    labels.reverse()
+    return best[0], labels
 
 
 def constrained_viterbi(
@@ -168,146 +160,41 @@ def constrained_viterbi(
 
     Returns ``(path, log_probability)`` or ``None`` when the constraints
     eliminate every positive-probability path; unsatisfiability is a result,
-    not an error. With ``prune=False`` the search keeps every accepted tuple
-    instead of merging (state, store) groups; this is only tractable on small
-    instances and exists to measure what the pruning buys.
+    not an error. Among optimal paths the lexicographically smallest wins,
+    up to the last-bit limit described in the module docstring. With
+    ``prune=False`` the search keeps every accepted partial path instead of
+    merging (state, store) keys; this is only tractable on small instances
+    and exists to measure what the pruning buys.
     """
     _require_valid(chmm)
     hmm = chmm.hmm
-    specs = chmm.constraints
     try:
         obs = [hmm.symbol_index[e] for e in observation]
     except KeyError as exc:
         raise ValueError(f"unknown symbol {exc.args[0]!r}") from None
     names = hmm.states
-    m = len(names) - 1
+    # Column 0 is the initial state, which no transition enters.
     trans_log = [
-        [math.log(p) if p > 0.0 else None for p in row] for row in hmm.transitions
+        [None] + [math.log(p) if p > 0.0 else None for p in row]
+        for row in hmm.transitions
     ]
-    emit_log = [
-        [math.log(p) if p > 0.0 else None for p in row] for row in hmm.emissions
+    by_name = sorted(range(1, len(names)), key=names.__getitem__)
+    moves = [
+        [
+            (j, math.log(hmm.emissions[j - 1][e]), StateUpdate(names[j], (symbol,)), j)
+            for j in by_name
+            if hmm.emissions[j - 1][e] > 0.0
+        ]
+        for e, symbol in enumerate(hmm.alphabet)
     ]
-    start = init_aggregate(specs)
-
-    if prune:
-        return _decode_pruned(
-            names, m, trans_log, emit_log, specs, start, obs, hmm.alphabet, stats
-        )
-    return _decode_unpruned(
-        names, m, trans_log, emit_log, specs, start, obs, hmm.alphabet, stats
+    lattice = ((k, ((k - 1, moves[e]),)) for k, e in enumerate(obs, 1))
+    result = _lattice_viterbi(
+        chmm.constraints, trans_log, 0, lattice, len(obs), prune, stats
     )
-
-
-def _decode_pruned(names, m, trans_log, emit_log, specs, start, obs, alphabet, stats):
-    # Levels hold (log_prob, parent_key, rank) per (state index, store) key.
-    # rank orders a level's entries by the lexicographic order of their
-    # materialized paths, which makes tie-breaking O(1): candidate paths at
-    # the next level compare as (parent rank, successor name).
-    levels: list[dict] = [{(0, start): (0.0, None, 0)}]
-    total = 1
-    if stats:
-        stats._note_entries(total)
-    for e_ix in obs:
-        symbol = alphabet[e_ix]
-        cur = levels[-1]
-        cand: dict = {}
-        for key, (lp, _parent, rank) in cur.items():
-            s_ix, store = key
-            row = trans_log[s_ix]
-            for j in range(1, m + 1):
-                lt = row[j - 1]
-                if lt is None:
-                    continue
-                le = emit_log[j - 1][e_ix]
-                if le is None:
-                    continue
-                nstore = check_constraints(specs, StateUpdate(names[j], (symbol,)), store)
-                if nstore is None:
-                    continue
-                if stats:
-                    stats.expansions += 1
-                nlp = lp + lt
-                nlp += le
-                nkey = (j, nstore)
-                okey = (rank, names[j])
-                old = cand.get(nkey)
-                if old is None:
-                    cand[nkey] = (nlp, key, okey)
-                else:
-                    if stats:
-                        stats.prunes += 1
-                    if nlp > old[0] or (nlp == old[0] and okey < old[2]):
-                        cand[nkey] = (nlp, key, okey)
-        if not cand:
-            return None
-        level: dict = {}
-        ordered = sorted(cand.items(), key=lambda kv: kv[1][2])
-        for rank, (nkey, (nlp, parent, _okey)) in enumerate(ordered):
-            level[nkey] = (nlp, parent, rank)
-        levels.append(level)
-        total += len(level)
-        if stats:
-            stats._note_entries(total)
-
-    final = levels[-1]
-    best_key, best_lp = None, None
-    for key, (lp, _parent, _rank) in final.items():  # iteration follows rank order
-        if best_lp is None or lp > best_lp:
-            best_key, best_lp = key, lp
-    rev = []
-    key = best_key
-    for level in reversed(levels[1:]):
-        rev.append(key[0])
-        key = level[key][1]
-    path = (names[0],) + tuple(names[j] for j in reversed(rev))
-    return path, best_lp
-
-
-def _decode_unpruned(names, m, trans_log, emit_log, specs, start, obs, alphabet, stats):
-    # entries: (log_prob, parent index in previous level, state index, store)
-    levels: list[list] = [[(0.0, -1, 0, start)]]
-    total = 1
-    if stats:
-        stats._note_entries(total)
-    for e_ix in obs:
-        symbol = alphabet[e_ix]
-        nxt = []
-        for parent_ix, (lp, _p, s_ix, store) in enumerate(levels[-1]):
-            row = trans_log[s_ix]
-            for j in range(1, m + 1):
-                lt = row[j - 1]
-                if lt is None:
-                    continue
-                le = emit_log[j - 1][e_ix]
-                if le is None:
-                    continue
-                nstore = check_constraints(specs, StateUpdate(names[j], (symbol,)), store)
-                if nstore is None:
-                    continue
-                if stats:
-                    stats.expansions += 1
-                nlp = lp + lt
-                nlp += le
-                nxt.append((nlp, parent_ix, j, nstore))
-        if not nxt:
-            return None
-        levels.append(nxt)
-        total += len(nxt)
-        if stats:
-            stats._note_entries(total)
-
-    best_ix, best_lp = None, None
-    for i, (lp, _p, _j, _s) in enumerate(levels[-1]):
-        if best_lp is None or lp > best_lp:
-            best_ix, best_lp = i, lp
-    rev = []
-    ix = best_ix
-    for level in reversed(levels[1:]):
-        lp, parent_ix, j, _store = level[ix]
-        rev.append(j)
-        ix = parent_ix
-    path = (names[0],) + tuple(names[j] for j in reversed(rev))
-    return path, best_lp
+    if result is None:
+        return None
+    log_prob, states = result
+    return (names[0],) + tuple(names[j] for j in states), log_prob
 
 
 def brute_force_constrained(

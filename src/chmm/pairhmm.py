@@ -23,12 +23,11 @@ from typing import Optional, Sequence
 from .constraints import (
     ConstraintSpec,
     StateUpdate,
-    check_constraints,
+    check_constraints,  # unused here; the benchmark tracer wraps this name
     declarative_satisfies,
-    init_aggregate,
     validate_spec,
 )
-from .decoder import DecodeStats
+from .decoder import DecodeStats, _lattice_viterbi
 from .hmm import NEG_INF, ROW_SUM_TOL
 
 PAIR_STATES = ("begin", "match", "insert", "delete")
@@ -307,109 +306,53 @@ def align(
 ) -> Optional[Alignment]:
     """Best constraint-satisfying global alignment of x and y, or ``None``.
 
-    Dynamic program over lattice nodes (consumed x, consumed y, state,
-    constraint store), processed along anti-diagonals; one best entry is kept
-    per node. Ties keep the first candidate in a fixed match/insert/delete
-    expansion order, so results are deterministic.
+    Runs the decoder's lattice kernel with one node per (consumed x, consumed
+    y) cell, processed along anti-diagonals, and one best entry per (state,
+    constraint store) key in each cell. Ties follow the kernel's rule: the
+    candidate generated first wins, and a cell's candidates are generated
+    from its match, insert and delete predecessors in that order. Ties are
+    broken where partial alignments merge, so two alignments whose complete
+    scores are bit-identical can still lose to one another by a last-bit
+    difference of their partial sums.
     """
     _check_symbols(model.params.alphabet, x, y)
     x = tuple(x)
     y = tuple(y)
     nx, ny = len(x), len(y)
-    specs = model.constraints
-    trans = model.transition_log
     mlog = model.match_log
     glog = model.gap_log
+    trans = [[model.transition_log.get((a, b)) for b in PAIR_STATES] for a in PAIR_STATES]
+    match, insert, delete = 1, 2, 3  # indexes into PAIR_STATES
 
-    # cells[(i, j)] maps (state, store) -> (log_prob, parent_key, op); a
-    # parent key is ((i, j), state, store) in the predecessor cell.
-    cells: dict = {(0, 0): {("begin", init_aggregate(specs)): (0.0, None, None)}}
-    total_entries = 1
-    if stats:
-        stats._note_entries(total_entries)
+    def cells():
+        for t in range(1, nx + ny + 1):
+            for i in range(max(0, t - ny), min(t, nx) + 1):
+                j = t - i
+                edges = []
+                if i >= 1 and j >= 1:
+                    le = mlog.get((x[i - 1], y[j - 1]))
+                    if le is not None:
+                        update = StateUpdate("match", (x[i - 1], y[j - 1]))
+                        edges.append(((i - 1, j - 1), ((match, le, update, ("match", i, j)),)))
+                if i >= 1:
+                    le = glog.get(x[i - 1])
+                    if le is not None:
+                        update = StateUpdate("insert", (x[i - 1],))
+                        edges.append(((i - 1, j), ((insert, le, update, ("insert", i)),)))
+                if j >= 1:
+                    le = glog.get(y[j - 1])
+                    if le is not None:
+                        update = StateUpdate("delete", (y[j - 1],))
+                        edges.append(((i, j - 1), ((delete, le, update, ("delete", j)),)))
+                yield (i, j), edges
 
-    for t in range(1, nx + ny + 1):
-        for i in range(max(0, t - ny), min(t, nx) + 1):
-            j = t - i
-            cell: dict = {}
-
-            def feed(pred_cell_key, state, le, update, op):
-                nonlocal total_entries
-                pred = cells.get(pred_cell_key)
-                if pred is None:
-                    return
-                for (pstate, pstore), (plp, _pk, _op) in pred.items():
-                    lt = trans.get((pstate, state))
-                    if lt is None:
-                        continue
-                    nstore = check_constraints(specs, update, pstore)
-                    if nstore is None:
-                        continue
-                    if stats:
-                        stats.expansions += 1
-                    nlp = plp + lt
-                    nlp += le
-                    key = (state, nstore)
-                    old = cell.get(key)
-                    if old is None:
-                        cell[key] = (nlp, (pred_cell_key, pstate, pstore), op)
-                    else:
-                        if stats:
-                            stats.prunes += 1
-                        if nlp > old[0]:
-                            cell[key] = (nlp, (pred_cell_key, pstate, pstore), op)
-
-            if i >= 1 and j >= 1:
-                le = mlog.get((x[i - 1], y[j - 1]))
-                if le is not None:
-                    feed(
-                        (i - 1, j - 1),
-                        "match",
-                        le,
-                        StateUpdate("match", (x[i - 1], y[j - 1])),
-                        ("match", i, j),
-                    )
-            if i >= 1:
-                le = glog.get(x[i - 1])
-                if le is not None:
-                    feed(
-                        (i - 1, j),
-                        "insert",
-                        le,
-                        StateUpdate("insert", (x[i - 1],)),
-                        ("insert", i),
-                    )
-            if j >= 1:
-                le = glog.get(y[j - 1])
-                if le is not None:
-                    feed(
-                        (i, j - 1),
-                        "delete",
-                        le,
-                        StateUpdate("delete", (y[j - 1],)),
-                        ("delete", j),
-                    )
-            if cell:
-                cells[(i, j)] = cell
-                total_entries += len(cell)
-                if stats:
-                    stats._note_entries(total_entries)
-
-    final = cells.get((nx, ny))
-    if final is None:
+    result = _lattice_viterbi(
+        model.constraints, trans, (0, 0), cells(), (nx, ny), True, stats
+    )
+    if result is None:
         return None
-    best = None
-    for entry in final.values():
-        if best is None or entry[0] > best[0]:
-            best = entry
-    ops: list[tuple] = []
-    entry = best
-    while entry[1] is not None:
-        ops.append(entry[2])
-        pred_cell_key, pstate, pstore = entry[1]
-        entry = cells[pred_cell_key][(pstate, pstore)]
-    ops.reverse()
-    return Alignment(tuple(ops), best[0])
+    log_prob, ops = result
+    return Alignment(tuple(ops), log_prob)
 
 
 def align_plain(

@@ -232,6 +232,8 @@ def oracle_check(
     max_len: int = 8,
 ) -> OracleReport:
     """Run ``count`` random instances through ``check_one_instance``."""
+    if count < 0:
+        raise ValueError(f"instance count must be non-negative, got {count}")
     rng = random.Random(seed)
     report = OracleReport()
     for _ in range(count):

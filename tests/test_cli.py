@@ -70,6 +70,16 @@ class TestDecode:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_constraint_is_an_input_error(self, model_file, tmp_path, capsys):
+        cons = tmp_path / "cons.txt"
+        cons.write_text("state_specific(" * 3000 + "alldiff" + ")" * 3000 + "\n")
+        code = main(
+            ["decode", "--model", model_file, "--constraints", str(cons), "--obs", "a"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == "error: line 1: constraint nests deeper than 64 levels\n"
+
     def test_missing_model_file(self, capsys):
         code = main(["decode", "--model", "/nonexistent", "--obs", "a"])
         assert code == EXIT_ERROR
@@ -176,6 +186,13 @@ class TestOracleCheck:
         code = main(["oracle-check", "--count", "0"])
         assert code == EXIT_OK
         assert "0/0" in capsys.readouterr().out
+
+    def test_negative_count_is_an_input_error(self, capsys):
+        code = main(["oracle-check", "--count", "-5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == "error: instance count must be non-negative, got -5\n"
 
     def test_sabotaged_decoder_is_caught(self, capsys):
         code = main(["oracle-check", "--seed", "42", "--count", "25", "--sabotage"])

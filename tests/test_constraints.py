@@ -22,6 +22,7 @@ from chmm import (
     parse_constraint,
     validate_spec,
 )
+from chmm.constraints import MAX_NESTING_DEPTH
 
 from conftest import upd
 
@@ -251,7 +252,6 @@ class TestSignature:
         for u in updates:
             first = check_constraints(specs, u, first)
             second = check_constraints(specs, u, second)
-        assert first.signature() == second.signature()
         assert first == second
 
     def test_alldiff_order_does_not_matter(self):
@@ -304,6 +304,15 @@ class TestParsing:
             parse_constraint("state_specific(cardinality([x],1)")
         with pytest.raises(ConstraintSyntaxError, match="trailing"):
             parse_constraint("alldiff alldiff")
+
+    def test_nesting_depth_is_bounded(self):
+        def nested(depth):
+            return "state_specific(" * depth + "alldiff" + ")" * depth
+
+        assert parse_constraint(nested(MAX_NESTING_DEPTH)) is not None
+        for depth in (MAX_NESTING_DEPTH + 1, 3000):
+            with pytest.raises(ConstraintSyntaxError, match="nests deeper"):
+                parse_constraint(nested(depth))
 
     def test_semantic_validation_applies_after_parse(self):
         with pytest.raises(ValueError, match="for_range"):

@@ -7,75 +7,105 @@ from chmm import (
     AllDiff,
     Cardinality,
     Chmm,
-    ConstraintStore,
     DecodeStats,
-    DecoderTuple,
     Hmm,
     LockToSet,
     Run,
     StateSpecific,
     StateUpdate,
-    best_tuple,
     brute_force_constrained,
     constrained_viterbi,
     declarative_satisfies,
-    expand_step,
     init_aggregate,
-    init_tuples,
-    prune_step,
     run_log_probability,
     viterbi,
 )
-from chmm.random_instances import oracle_check, random_chmm_instance, random_hmm, random_observation
+from chmm.random_instances import (
+    oracle_check,
+    random_chmm_instance,
+    random_constraint_set,
+    random_hmm,
+    random_observation,
+)
 
 from conftest import HMM_A
 
 
-def fold_decode(chmm, observation):
-    """Reference composition of the step operations, with materialized paths."""
-    tuples = init_tuples(chmm)
-    for symbol in observation:
-        tuples = prune_step(expand_step(chmm, tuples, symbol))
-        if not tuples:
-            return None
-    best = best_tuple(tuples)
-    return best.path, best.log_prob
+def uniform_hmm(rng):
+    """Every factor equal, so every path ties exactly; emitting states are
+    named out of index order, so index order is not name order."""
+    m = rng.randint(2, 4)
+    k = rng.randint(1, 2)
+    names = tuple(rng.sample(["z", "b", "q", "a", "m"], m))
+    return Hmm(
+        ("start",) + names,
+        tuple("xy"[:k]),
+        tuple(tuple(1.0 / m for _ in range(m)) for _ in range(m + 1)),
+        tuple(tuple(1.0 / k for _ in range(k)) for _ in range(m)),
+    )
 
 
 class TestInitTuples:
+    """The paper's start: one tuple for the initial state with fresh stores."""
+
     def test_single_initial_tuple(self):
-        (t,) = init_tuples(Chmm(HMM_A, ()))
-        assert t == DecoderTuple("s0", 0, 0.0, ("s0",), ConstraintStore(()))
+        stats = DecodeStats()
+        assert constrained_viterbi(Chmm(HMM_A, ()), [], stats=stats) == (("s0",), 0.0)
+        assert (stats.peak_entries, stats.expansions) == (1, 0)
 
     def test_initial_store_reflects_constraints(self):
-        (t,) = init_tuples(Chmm(HMM_A, (StateSpecific(Cardinality(("s2",), 1)),)))
-        assert t.store.parts == (0,)
+        chmm = Chmm(HMM_A, (StateSpecific(Cardinality(("s2",), 1)),))
+        assert init_aggregate(chmm.constraints).parts == (0,)
+        # The unconstrained optimum is s0 s2 s2; a count starting at 0 admits one s2.
+        assert viterbi(HMM_A, ["b", "b"])[0] == ("s0", "s2", "s2")
+        path, _ = constrained_viterbi(chmm, ["b", "b"])
+        assert path == ("s0", "s1", "s2")
+        assert path == brute_force_constrained(chmm, ["b", "b"])[0]
 
     def test_invalid_model_raises(self):
         bad = Hmm(("s0", "s1"), ("a",), ((0.5,), (1.0,)), ((1.0,),))
         with pytest.raises(ValueError, match="invalid model"):
-            init_tuples(Chmm(bad, ()))
+            constrained_viterbi(Chmm(bad, ()), [])
 
     def test_malformed_constraint_raises(self):
         with pytest.raises(ValueError, match="constraint 0"):
-            init_tuples(Chmm(HMM_A, (Cardinality(("x",), -1),)))
+            constrained_viterbi(Chmm(HMM_A, (Cardinality(("x",), -1),)), [])
 
 
 class TestExpandStep:
+    """The paper's expansion step: successors along positive edges whose
+    update every checker accepts."""
+
     def test_expands_to_both_states(self):
-        out = expand_step(Chmm(HMM_A, ()), init_tuples(Chmm(HMM_A, ())), "a")
-        scored = sorted((t.state, t.log_prob) for t in out)
-        assert [s for s, _ in scored] == ["s1", "s2"]
-        assert scored[0][1] == pytest.approx(math.log(0.54), abs=1e-9)
-        assert scored[1][1] == pytest.approx(math.log(0.08), abs=1e-9)
+        stats = DecodeStats()
+        path, lp = constrained_viterbi(Chmm(HMM_A, ()), ["a"], prune=False, stats=stats)
+        assert (stats.expansions, stats.peak_entries) == (2, 3)
+        assert path == ("s0", "s1")
+        assert lp == pytest.approx(math.log(0.54), abs=1e-9)
+        no_s1 = Chmm(HMM_A, (StateSpecific(Cardinality(("s1",), 0)),))
+        path, lp = constrained_viterbi(no_s1, ["a"])
+        assert path == ("s0", "s2")
+        assert lp == pytest.approx(math.log(0.08), abs=1e-9)
 
     def test_constraint_rejected_branch_dropped(self):
         chmm = Chmm(HMM_A, (StateSpecific(Cardinality(("s2",), 0)),))
-        out = expand_step(chmm, init_tuples(chmm), "a")
-        assert [t.state for t in out] == ["s1"]
+        stats = DecodeStats()
+        assert constrained_viterbi(chmm, ["a"], stats=stats)[0] == ("s0", "s1")
+        assert stats.expansions == 1
 
     def test_empty_input_gives_empty_output(self):
-        assert expand_step(Chmm(HMM_A, ()), set(), "a") == set()
+        # Once a level is empty, nothing later is expanded.
+        chmm = Chmm(
+            HMM_A,
+            (
+                StateSpecific(Cardinality(("s1",), 0)),
+                StateSpecific(Cardinality(("s2",), 0)),
+            ),
+        )
+        for prune in (True, False):
+            stats = DecodeStats()
+            assert constrained_viterbi(chmm, ["a", "b", "a"], prune=prune, stats=stats) is None
+            assert (stats.expansions, stats.peak_entries) == (0, 1)
 
     def test_zero_probability_edges_dropped(self):
         model = Hmm(
@@ -84,54 +114,64 @@ class TestExpandStep:
             transitions=((1.0, 0.0), (0.7, 0.3), (0.4, 0.6)),
             emissions=((0.9, 0.1), (1.0, 0.0)),
         )
-        chmm = Chmm(model, ())
-        out = expand_step(chmm, init_tuples(chmm), "a")
-        assert [t.state for t in out] == ["s1"]  # s2 unreachable from s0
+        stats = DecodeStats()
+        path, _ = constrained_viterbi(Chmm(model, ()), ["a"], stats=stats)
+        assert path == ("s0", "s1")  # s2 unreachable from s0
+        assert stats.expansions == 1
+        assert constrained_viterbi(Chmm(model, ()), ["a", "b"])[0] == ("s0", "s1", "s1")
 
     def test_paths_and_stores_thread_through(self):
+        # AllDiff remembers level 1's update, so level 2 must switch state.
         chmm = Chmm(HMM_A, (AllDiff(),))
-        level1 = expand_step(chmm, init_tuples(chmm), "a")
-        for t in level1:
-            assert t.path == ("s0", t.state)
-            assert t.index == 1
-            assert t.store.parts == ((StateUpdate(t.state, ("a",)),),)
-
-    def test_mixed_indexes_rejected(self):
-        t0 = DecoderTuple("s0", 0, 0.0, ("s0",), ConstraintStore(()))
-        t1 = DecoderTuple("s1", 1, -1.0, ("s0", "s1"), ConstraintStore(()))
-        with pytest.raises(ValueError, match="step indexes"):
-            expand_step(Chmm(HMM_A, ()), {t0, t1}, "a")
+        stats = DecodeStats()
+        path, lp = constrained_viterbi(chmm, ["a", "a"], stats=stats)
+        assert path == ("s0", "s1", "s2")
+        assert stats.expansions == 4
+        assert lp == run_log_probability(HMM_A, Run(path, ("a", "a")))
+        assert (path, lp) == brute_force_constrained(chmm, ["a", "a"])
 
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError, match="unknown symbol"):
-            expand_step(Chmm(HMM_A, ()), init_tuples(Chmm(HMM_A, ())), "z")
+            constrained_viterbi(Chmm(HMM_A, ()), ["a", "z"])
 
 
 class TestPruneStep:
+    """The paper's pruning step: one best entry per (state, store) key."""
+
     def test_dominated_tuple_dropped(self):
-        store = init_aggregate(())
-        a = DecoderTuple("s1", 1, -1.0, ("s0", "s1"), store)
-        b = DecoderTuple("s1", 1, -2.0, ("s0", "s1"), store)
-        assert prune_step({a, b}) == {a}
+        pruned, unpruned = DecodeStats(), DecodeStats()
+        a = constrained_viterbi(Chmm(HMM_A, ()), ["a", "a"], stats=pruned)
+        b = constrained_viterbi(Chmm(HMM_A, ()), ["a", "a"], prune=False, stats=unpruned)
+        assert a == b == viterbi(HMM_A, ["a", "a"])
+        # Both states are reached twice at level 2; one of each pair is dropped.
+        assert (pruned.prunes, pruned.peak_entries) == (2, 5)
+        assert (unpruned.prunes, unpruned.peak_entries) == (0, 7)
 
     def test_different_stores_both_kept(self):
-        sa = ConstraintStore((1,))
-        sb = ConstraintStore((2,))
-        a = DecoderTuple("s1", 1, -1.0, ("s0", "s1"), sa)
-        b = DecoderTuple("s1", 1, -2.0, ("s0", "s1"), sb)
-        assert prune_step({a, b}) == {a, b}
+        # Level 2 reaches s1 with s2-counts 0 and 1: same state, two stores.
+        chmm = Chmm(HMM_A, (StateSpecific(Cardinality(("s2",), 1)),))
+        stats = DecodeStats()
+        constrained_viterbi(chmm, ["a", "a"], stats=stats)
+        assert (stats.prunes, stats.peak_entries) == (0, 6)
 
     def test_different_states_both_kept(self):
-        store = init_aggregate(())
-        a = DecoderTuple("s1", 1, -1.0, ("s0", "s1"), store)
-        b = DecoderTuple("s2", 1, -2.0, ("s0", "s2"), store)
-        assert prune_step({a, b}) == {a, b}
+        stats = DecodeStats()
+        constrained_viterbi(Chmm(HMM_A, ()), ["a"], stats=stats)
+        assert (stats.prunes, stats.peak_entries) == (0, 3)
 
     def test_ties_keep_the_smallest_path(self):
-        store = init_aggregate(())
-        a = DecoderTuple("s2", 2, -1.0, ("s0", "s1", "s2"), store)
-        b = DecoderTuple("s2", 2, -1.0, ("s0", "s2", "s2"), store)
-        assert prune_step({a, b}) == {a}
+        # "b" precedes "a" in index order; every path scores the same.
+        hmm = Hmm(
+            ("s0", "b", "a"),
+            ("x",),
+            ((0.5, 0.5), (0.5, 0.5), (0.5, 0.5)),
+            ((1.0,), (1.0,)),
+        )
+        for prune in (True, False):
+            path, _ = constrained_viterbi(Chmm(hmm, ()), ["x"] * 3, prune=prune)
+            assert path == ("s0", "a", "a", "a")
+        path, _ = constrained_viterbi(Chmm(hmm, (AllDiff(),)), ["x", "x"])
+        assert path == ("s0", "a", "b")
 
 
 class TestConstrainedViterbi:
@@ -178,11 +218,24 @@ class TestConstrainedViterbi:
             for spec in chmm.constraints:
                 assert declarative_satisfies(spec, history)
 
-    def test_agrees_with_step_operation_fold(self):
+    def test_paths_agree_exactly_with_brute_force(self):
         rng = random.Random(55)
         for _ in range(80):
             chmm, obs = random_chmm_instance(rng)
-            assert constrained_viterbi(chmm, obs) == fold_decode(chmm, obs)
+            assert constrained_viterbi(chmm, obs) == brute_force_constrained(chmm, obs)
+
+    def test_ties_give_the_brute_force_path(self):
+        # Exact ties everywhere: both settings of prune must return the
+        # lexicographically smallest optimal path, as brute force does.
+        rng = random.Random(4)
+        for _ in range(150):
+            hmm = uniform_hmm(rng)
+            obs = tuple(rng.choice(hmm.alphabet) for _ in range(rng.randint(0, 6)))
+            specs = random_constraint_set(rng, hmm.states[1:], hmm.alphabet, len(obs))
+            chmm = Chmm(hmm, specs)
+            expected = brute_force_constrained(chmm, obs)
+            assert constrained_viterbi(chmm, obs) == expected
+            assert constrained_viterbi(chmm, obs, prune=False) == expected
 
     def test_agrees_with_brute_force(self):
         report = oracle_check(seed=1234, count=150)
