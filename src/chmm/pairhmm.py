@@ -324,8 +324,10 @@ def align(
     trans = [[model.transition_log.get((a, b)) for b in PAIR_STATES] for a in PAIR_STATES]
     match, insert, delete = 1, 2, 3  # indexes into PAIR_STATES
 
-    def cells():
+    def diagonals():
+        # One layer per anti-diagonal i + j = t; match edges reach back two.
         for t in range(1, nx + ny + 1):
+            layer = []
             for i in range(max(0, t - ny), min(t, nx) + 1):
                 j = t - i
                 edges = []
@@ -344,10 +346,11 @@ def align(
                     if le is not None:
                         update = StateUpdate("delete", (y[j - 1],))
                         edges.append(((i, j - 1), ((delete, le, update, ("delete", j)),)))
-                yield (i, j), edges
+                layer.append(((i, j), edges))
+            yield layer
 
     result = _lattice_viterbi(
-        model.constraints, trans, (0, 0), cells(), (nx, ny), True, stats
+        model.constraints, trans, (0, 0), diagonals(), (nx, ny), True, stats
     )
     if result is None:
         return None

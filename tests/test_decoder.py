@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chmm import (
     AllDiff,
@@ -13,19 +16,28 @@ from chmm import (
     Run,
     StateSpecific,
     StateUpdate,
+    align,
     brute_force_constrained,
+    build_pair_chmm,
+    check_constraints,
     constrained_viterbi,
     declarative_satisfies,
     init_aggregate,
     run_log_probability,
+    uniform_pair_params,
     viterbi,
 )
+from chmm import decoder
+from chmm.bench import indel_budget_constraint
+from chmm.decoder import _StoreAutomaton
 from chmm.random_instances import (
     oracle_check,
     random_chmm_instance,
     random_constraint_set,
     random_hmm,
     random_observation,
+    random_spec,
+    random_update_sequence,
 )
 
 from conftest import HMM_A
@@ -305,3 +317,109 @@ class TestBruteForce:
         chmm = Chmm(HMM_A, (StateSpecific(LockToSet(("s2",))),))
         path, lp = brute_force_constrained(chmm, ["a", "a"])
         assert path == ("s0", "s2", "s2")
+
+
+class TestStoreAutomaton:
+    """The lazily built automaton against folding ``check_constraints``."""
+
+    STATES = ("m", "i", "d")
+    SYMBOLS = ("a", "b")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        emit_arity=st.sampled_from((1, 2)),
+        n_specs=st.integers(min_value=1, max_value=2),
+    )
+    def test_stepping_agrees_with_folding(self, seed, emit_arity, n_specs):
+        rng = random.Random(seed)
+        specs = tuple(
+            random_spec(rng, self.STATES, self.SYMBOLS, 8, emit_arity=emit_arity)
+            for _ in range(n_specs)
+        )
+        automaton = _StoreAutomaton(specs)
+        assert automaton.stores[0] == init_aggregate(specs)
+        ids = {automaton.stores[0]: 0}
+        # Several streams through one automaton, so later streams hit arcs
+        # that earlier ones built.
+        for _ in range(4):
+            updates = random_update_sequence(rng, self.STATES, self.SYMBOLS, max_len=10)
+            if emit_arity == 2:
+                updates = [
+                    StateUpdate(u.state, u.emitted + (rng.choice(self.SYMBOLS),))
+                    for u in updates
+                ]
+            store, sid = init_aggregate(specs), 0
+            for update in updates:
+                store = check_constraints(specs, update, store)
+                sid = automaton.step(sid, update)
+                if store is None:
+                    assert sid == -1, (specs, updates)
+                    break
+                assert sid >= 0, (specs, updates)
+                assert automaton.stores[sid] == store
+                assert ids.setdefault(store, sid) == sid
+            else:
+                assert sid >= 0
+        assert len(ids) == len(automaton.stores) == len(set(automaton.stores))
+        arcs = sum(len(arc) for arc in automaton.arcs)
+        assert automaton.checks == arcs
+
+
+@pytest.fixture
+def counted_checks(monkeypatch):
+    """Count the kernel's ``check_constraints`` calls and the distinct
+    (store, update) pairs they see, by wrapping the module attribute the
+    benchmark tracer wraps."""
+    seen = {"calls": 0, "pairs": set()}
+    original = decoder.check_constraints
+
+    def counting(specs, update, store):
+        seen["calls"] += 1
+        seen["pairs"].add((store, update))
+        return original(specs, update, store)
+
+    monkeypatch.setattr(decoder, "check_constraints", counting)
+    return seen
+
+
+class TestCheckCache:
+    def budget_alignment(self):
+        rng = random.Random(40)
+        x = "".join(rng.choice("ACGT") for _ in range(40))
+        y = "".join(rng.choice("ACGT") for _ in range(40))
+        model = build_pair_chmm(uniform_pair_params("ACGT"), (indel_budget_constraint(8),))
+        stats = DecodeStats()
+        return align(model, x, y, stats=stats), stats
+
+    def test_count_matches_stats(self, counted_checks):
+        result, stats = self.budget_alignment()
+        assert result is not None
+        assert counted_checks["calls"] == stats.checks > 0
+        assert stats.stores == len({s for s, _ in counted_checks["pairs"]}) == 9
+
+    def test_each_store_update_pair_is_checked_once(self, counted_checks):
+        _result, stats = self.budget_alignment()
+        assert counted_checks["calls"] <= len(counted_checks["pairs"])
+        assert 20 * counted_checks["calls"] < stats.expansions
+
+    def test_unpruned_search_checks_every_candidate(self, counted_checks):
+        spec = Cardinality(["s1"], 2)
+        obs = list("abaabba")
+        stats = DecodeStats()
+        constrained_viterbi(Chmm(HMM_A, (spec,)), obs, prune=False, stats=stats)
+        # Every positive-probability successor of every accepted prefix is a
+        # candidate, and each is checked on its own.
+        candidates = 0
+        for k in range(len(obs)):
+            for tail in itertools.product(HMM_A.states[1:], repeat=k):
+                history = [StateUpdate(s, (e,)) for s, e in zip(tail, obs)]
+                if not declarative_satisfies(spec, history):
+                    continue
+                prev = tail[-1] if tail else HMM_A.states[0]
+                candidates += sum(
+                    1
+                    for t in HMM_A.states[1:]
+                    if HMM_A.transition(prev, t) > 0 and HMM_A.emission(t, obs[k]) > 0
+                )
+        assert counted_checks["calls"] == stats.checks == candidates == 126
