@@ -4,9 +4,9 @@ Classical Viterbi decoding explores one best partial path per state; adding
 side-constraints (cardinality bounds, all-different, locked regions, sliding
 windows) changes the bookkeeping to one best partial path per (state,
 checker-store) pair. This package provides the constraint checkers, the
-store-keyed decoder with domination pruning, a constrained pair-HMM global
-aligner, brute-force reference implementations for all of it, and a CLI with
-a benchmark harness.
+store-keyed decoder that merges partial paths with equal (state, store) keys,
+a constrained pair-HMM global aligner, brute-force reference implementations
+for all of it, and a CLI with a benchmark harness.
 """
 
 from .constraints import (

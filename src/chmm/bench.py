@@ -290,17 +290,9 @@ def to_csv(rows: list[BenchRow]) -> str:
     return "\n".join([",".join(CSV_COLUMNS)] + [r.csv() for r in rows]) + "\n"
 
 
-def median_by_size(rows: list[BenchRow], variant: str) -> dict[int, float]:
-    """Median wall time per size for one variant, from the median rows."""
-    return {
-        r.size: r.wall_ms
-        for r in rows
-        if r.variant == variant and r.rep == "median"
-    }
-
-
-def stat_by_size(rows: list[BenchRow], variant: str, column: str) -> dict[int, int]:
-    """A deterministic counter column per size for one variant."""
+def stat_by_size(rows: list[BenchRow], variant: str, column: str) -> dict[int, float]:
+    """One column of the median rows per size for one variant: ``wall_ms``
+    for the median wall time, or a deterministic counter."""
     return {
         r.size: getattr(r, column)
         for r in rows

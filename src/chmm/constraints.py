@@ -152,16 +152,6 @@ ConstraintSpec = Union[
     StateSpecific,
 ]
 
-_SPEC_TYPES = (
-    Cardinality,
-    AllDiff,
-    LockToSequence,
-    LockToSet,
-    ForRange,
-    ForallSubseq,
-    StateSpecific,
-)
-
 
 def validate_spec(spec) -> list[str]:
     """Structural checks for one constraint; returns violations (empty = ok)."""
@@ -171,9 +161,7 @@ def validate_spec(spec) -> list[str]:
             problems.append(f"cardinality bound {spec.max_count!r} is not an integer")
         elif spec.max_count < 0:
             problems.append(f"cardinality bound {spec.max_count} is negative")
-    elif isinstance(spec, AllDiff):
-        pass
-    elif isinstance(spec, (LockToSequence, LockToSet)):
+    elif isinstance(spec, (AllDiff, LockToSequence, LockToSet)):
         pass
     elif isinstance(spec, ForRange):
         if not (1 <= spec.first <= spec.last):

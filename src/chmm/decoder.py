@@ -80,10 +80,12 @@ def validate_chmm(chmm: Chmm) -> list[str]:
 class DecodeStats:
     """Counters for benchmarking.
 
-    ``expansions`` counts accepted expansions and ``prunes`` domination
-    drops. ``peak_entries`` is the running total of table entries stored
-    over the whole lattice; finished tables are released as the walk goes,
-    so it is an upper bound on the entries held at once, not their count.
+    ``expansions`` counts accepted expansions and ``prunes`` the expansions
+    merged into an existing entry with an equal (state, store) key.
+    ``peak_entries`` is the number of table entries stored over the whole
+    lattice walk; finished tables are released as the walk goes, so it is an
+    upper bound on the entries held at once, not their count. Over several
+    decodes into one ``DecodeStats`` it keeps the largest walk's count.
     ``stores`` is the number of interned constraint stores and ``checks``
     the number of ``check_constraints`` calls, i.e. the automaton's misses.
     """
@@ -93,10 +95,6 @@ class DecodeStats:
     peak_entries: int = 0
     stores: int = 0
     checks: int = 0
-
-    def _note_entries(self, total: int) -> None:
-        if total > self.peak_entries:
-            self.peak_entries = total
 
 
 def _require_valid(chmm: Chmm) -> None:
@@ -153,37 +151,36 @@ def _lattice_viterbi(specs, trans_log, source, lattice, sink, prune, stats):
     state 0 with the initial stores. ``lattice`` yields the layers after the
     source in topological order; a layer is a sequence of ``(node, edges)``,
     each edge ``(predecessor node, moves)`` with the predecessor in one of
-    the two layers before, and each move ``(t, emit_log, update, label)``
-    enters state t with emission log-probability ``emit_log`` and constraint
-    update ``update``. Each node keeps one entry per (state, store) key,
-    merged by the tie rule in the module docstring; with ``prune=False`` every
+    the two layers before, and each move ``(t, emit_log, update)`` enters
+    state t with emission log-probability ``emit_log`` and constraint update
+    ``update``. Each node keeps one entry per (state, store) key, merged by
+    the tie rule in the module docstring; with ``prune=False`` every
     candidate gets a key of its own and its own ``check_constraints`` call,
-    so nothing merges and nothing is cached. Returns ``(log_prob, labels)``,
-    the labels of the best path's moves in order, or None.
+    so nothing merges and nothing is cached. Returns ``(log_prob, states)``,
+    the states the best path enters after the source, in order, or None.
     """
     automaton = _StoreAutomaton(specs)
     arcs = automaton.arcs
     # ``check`` records no arcs, so with prune=False every lookup misses.
     step = automaton.step if prune else automaton.check
     width = len(trans_log)
-    # A table maps a key to (log_prob, state, store id, parent entry, label);
-    # the key of state t with store id i is i * width + t.
-    live = {source: {0: (0.0, 0, 0, None, None)}}
+    # A table maps a key to (log_prob, state, store id, parent entry); the
+    # key of state t with store id i is i * width + t.
+    live = {source: {0: (0.0, 0, 0, None)}}
     older: list = []
     last = [source]
     total = 1
-    if stats:
-        stats._note_entries(total)
+    merges = 0
     for layer in lattice:
         done = []
         for node, edges in layer:
             table: dict = {}
             for pred, moves in edges:
                 for parent in live.get(pred, {}).values():
-                    plp, s, sid, _parent, _label = parent
+                    plp, s, sid, _parent = parent
                     row = trans_log[s]
                     arc = arcs[sid]
-                    for t, le, update, label in moves:
+                    for t, le, update in moves:
                         lt = row[t]
                         if lt is None:
                             continue
@@ -192,33 +189,33 @@ def _lattice_viterbi(specs, trans_log, source, lattice, sink, prune, stats):
                             nid = step(sid, update)
                         if nid < 0:
                             continue
-                        if stats:
-                            stats.expansions += 1
                         nlp = plp + lt
                         nlp += le
                         if not prune:
-                            table[len(table)] = (nlp, t, nid, parent, label)
+                            table[len(table)] = (nlp, t, nid, parent)
                             continue
                         key = nid * width + t
                         old = table.get(key)
                         if old is None:
-                            table[key] = (nlp, t, nid, parent, label)
+                            table[key] = (nlp, t, nid, parent)
                         else:
-                            if stats:
-                                stats.prunes += 1
+                            merges += 1
                             if nlp > old[0]:
                                 del table[key]
-                                table[key] = (nlp, t, nid, parent, label)
+                                table[key] = (nlp, t, nid, parent)
             if table:
                 live[node] = table
                 done.append(node)
                 total += len(table)
-                if stats:
-                    stats._note_entries(total)
         for node in older:
             del live[node]
         older, last = last, done
     if stats:
+        # Every accepted expansion stored an entry or merged into one; only
+        # the source entry was stored without one.
+        stats.expansions += total - 1 + merges
+        stats.prunes += merges
+        stats.peak_entries = max(stats.peak_entries, total)
         stats.stores += len(automaton.stores)
         stats.checks += automaton.checks
 
@@ -229,13 +226,13 @@ def _lattice_viterbi(specs, trans_log, source, lattice, sink, prune, stats):
     for entry in final.values():
         if best is None or entry[0] > best[0]:
             best = entry
-    labels = []
+    states = []
     entry = best
     while entry[3] is not None:
-        labels.append(entry[4])
+        states.append(entry[1])
         entry = entry[3]
-    labels.reverse()
-    return best[0], labels
+    states.reverse()
+    return best[0], states
 
 
 def constrained_viterbi(
@@ -273,7 +270,7 @@ def constrained_viterbi(
     by_name = sorted(range(1, len(names)), key=names.__getitem__)
     moves = [
         [
-            (j, math.log(hmm.emissions[j - 1][e]), StateUpdate(names[j], (symbol,)), j)
+            (j, math.log(hmm.emissions[j - 1][e]), StateUpdate(names[j], (symbol,)))
             for j in by_name
             if hmm.emissions[j - 1][e] > 0.0
         ]

@@ -319,10 +319,24 @@ def align(
     x = tuple(x)
     y = tuple(y)
     nx, ny = len(x), len(y)
+    trans = [[model.transition_log.get((a, b)) for b in PAIR_STATES] for a in PAIR_STATES]
     mlog = model.match_log
     glog = model.gap_log
-    trans = [[model.transition_log.get((a, b)) for b in PAIR_STATES] for a in PAIR_STATES]
     match, insert, delete = 1, 2, 3  # indexes into PAIR_STATES
+    # Every cell that emits the same symbol pair (match) or symbol (insert,
+    # delete) shares one move, so no cell allocates an update.
+    match_moves = {
+        (a, b): ((match, mlog[a, b], StateUpdate("match", (a, b))),)
+        for a in set(x)
+        for b in set(y)
+        if (a, b) in mlog
+    }
+    insert_moves = {
+        a: ((insert, glog[a], StateUpdate("insert", (a,))),) for a in set(x) if a in glog
+    }
+    delete_moves = {
+        b: ((delete, glog[b], StateUpdate("delete", (b,))),) for b in set(y) if b in glog
+    }
 
     def diagonals():
         # One layer per anti-diagonal i + j = t; match edges reach back two.
@@ -332,20 +346,17 @@ def align(
                 j = t - i
                 edges = []
                 if i >= 1 and j >= 1:
-                    le = mlog.get((x[i - 1], y[j - 1]))
-                    if le is not None:
-                        update = StateUpdate("match", (x[i - 1], y[j - 1]))
-                        edges.append(((i - 1, j - 1), ((match, le, update, ("match", i, j)),)))
+                    moves = match_moves.get((x[i - 1], y[j - 1]))
+                    if moves:
+                        edges.append(((i - 1, j - 1), moves))
                 if i >= 1:
-                    le = glog.get(x[i - 1])
-                    if le is not None:
-                        update = StateUpdate("insert", (x[i - 1],))
-                        edges.append(((i - 1, j), ((insert, le, update, ("insert", i)),)))
+                    moves = insert_moves.get(x[i - 1])
+                    if moves:
+                        edges.append(((i - 1, j), moves))
                 if j >= 1:
-                    le = glog.get(y[j - 1])
-                    if le is not None:
-                        update = StateUpdate("delete", (y[j - 1],))
-                        edges.append(((i, j - 1), ((delete, le, update, ("delete", j)),)))
+                    moves = delete_moves.get(y[j - 1])
+                    if moves:
+                        edges.append(((i, j - 1), moves))
                 layer.append(((i, j), edges))
             yield layer
 
@@ -354,8 +365,9 @@ def align(
     )
     if result is None:
         return None
-    log_prob, ops = result
-    return Alignment(tuple(ops), log_prob)
+    log_prob, states = result
+    letters = "".join(PAIR_STATES[s][0] for s in states)
+    return Alignment(ops_from_letters(letters), log_prob)
 
 
 def align_plain(
@@ -381,8 +393,6 @@ def align_plain(
 
     cells: dict = {(0, 0): {"begin": (0.0, None, None)}}
     total_entries = 1
-    if stats:
-        stats._note_entries(total_entries)
     for t in range(1, nx + ny + 1):
         for i in range(max(0, t - ny), min(t, nx) + 1):
             j = t - i
@@ -425,8 +435,8 @@ def align_plain(
             if cell:
                 cells[(i, j)] = cell
                 total_entries += len(cell)
-                if stats:
-                    stats._note_entries(total_entries)
+    if stats:
+        stats.peak_entries = max(stats.peak_entries, total_entries)
 
     final = cells.get((nx, ny))
     if final is None:

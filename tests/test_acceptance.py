@@ -27,7 +27,6 @@ from chmm import (
 )
 from chmm.bench import (
     indel_budget_constraint,
-    median_by_size,
     run_experiment,
     stat_by_size,
 )
@@ -118,8 +117,8 @@ def test_criterion_3_constraint_semantics_oracle():
 
 
 def test_criterion_4_constant_factor_overhead(length_rows):
-    plain = median_by_size(length_rows, "plain")
-    constrained = median_by_size(length_rows, "constrained-empty")
+    plain = stat_by_size(length_rows, "plain", "wall_ms")
+    constrained = stat_by_size(length_rows, "constrained-empty", "wall_ms")
     lengths = sorted(plain)
     ratios = {n: constrained[n] / plain[n] for n in lengths}
     band = max(ratios.values()) / min(ratios.values())
@@ -142,7 +141,7 @@ def test_criterion_4_constant_factor_overhead(length_rows):
 
 
 def test_criterion_5_pruning_benefit(budget_rows):
-    medians = median_by_size(budget_rows, "indel-budget")
+    medians = stat_by_size(budget_rows, "indel-budget", "wall_ms")
     budgets = sorted(medians, reverse=True)  # 32 down to 2
     times = [medians[b] for b in budgets]
     inversions = [
@@ -162,8 +161,8 @@ def test_criterion_5_pruning_benefit(budget_rows):
 
 
 def test_criterion_6_store_keyed_pruning_vs_naive(ablation_rows):
-    pruned_t = median_by_size(ablation_rows, "pruned")
-    unpruned_t = median_by_size(ablation_rows, "unpruned")
+    pruned_t = stat_by_size(ablation_rows, "pruned", "wall_ms")
+    unpruned_t = stat_by_size(ablation_rows, "unpruned", "wall_ms")
     assert unpruned_t, "unpruned decoder completed no size within the cap"
     largest = max(unpruned_t)
     time_ratio = unpruned_t[largest] / pruned_t[largest]

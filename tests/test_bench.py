@@ -4,8 +4,8 @@ from chmm.bench import (
     BUDGETS,
     CSV_COLUMNS,
     ablation_model,
-    median_by_size,
     run_experiment,
+    stat_by_size,
     to_csv,
 )
 from chmm import validate_model
@@ -61,7 +61,7 @@ def test_csv_identical_across_runs_excluding_timing():
 
 def test_median_by_size_selects_median_rows():
     rows = run_experiment("budget-scaling", reps=3, budgets=(4, 2), length=8)
-    medians = median_by_size(rows, "indel-budget")
+    medians = stat_by_size(rows, "indel-budget", "wall_ms")
     assert set(medians) == {4, 2}
     assert all(isinstance(v, float) for v in medians.values())
 

@@ -383,23 +383,25 @@ def counted_checks(monkeypatch):
     return seen
 
 
-class TestCheckCache:
-    def budget_alignment(self):
-        rng = random.Random(40)
-        x = "".join(rng.choice("ACGT") for _ in range(40))
-        y = "".join(rng.choice("ACGT") for _ in range(40))
-        model = build_pair_chmm(uniform_pair_params("ACGT"), (indel_budget_constraint(8),))
-        stats = DecodeStats()
-        return align(model, x, y, stats=stats), stats
+def budget_alignment(stats=None):
+    """A 40x40 DNA alignment under an indel budget of 8."""
+    rng = random.Random(40)
+    x = "".join(rng.choice("ACGT") for _ in range(40))
+    y = "".join(rng.choice("ACGT") for _ in range(40))
+    model = build_pair_chmm(uniform_pair_params("ACGT"), (indel_budget_constraint(8),))
+    stats = DecodeStats() if stats is None else stats
+    return align(model, x, y, stats=stats), stats
 
+
+class TestCheckCache:
     def test_count_matches_stats(self, counted_checks):
-        result, stats = self.budget_alignment()
+        result, stats = budget_alignment()
         assert result is not None
         assert counted_checks["calls"] == stats.checks > 0
         assert stats.stores == len({s for s, _ in counted_checks["pairs"]}) == 9
 
     def test_each_store_update_pair_is_checked_once(self, counted_checks):
-        _result, stats = self.budget_alignment()
+        _result, stats = budget_alignment()
         assert counted_checks["calls"] <= len(counted_checks["pairs"])
         assert 20 * counted_checks["calls"] < stats.expansions
 
@@ -423,3 +425,31 @@ class TestCheckCache:
                     if HMM_A.transition(prev, t) > 0 and HMM_A.emission(t, obs[k]) > 0
                 )
         assert counted_checks["calls"] == stats.checks == candidates == 126
+
+
+def counters(stats):
+    return (stats.expansions, stats.prunes, stats.peak_entries, stats.stores, stats.checks)
+
+
+class TestCounters:
+    """The kernel derives its counters once per walk, from the entries it
+    stored and the merges; these values equal a count taken at every
+    expansion."""
+
+    def test_budget_alignment(self):
+        _result, stats = budget_alignment()
+        assert counters(stats) == (8590, 4420, 4171, 9, 214)
+
+    def test_counts_add_up_and_the_peak_is_a_max(self):
+        _result, stats = budget_alignment()
+        budget_alignment(stats)
+        assert counters(stats) == (17180, 8840, 4171, 18, 428)
+
+    @pytest.mark.parametrize(
+        "prune, expected", [(True, (45, 14, 32, 3, 12)), (False, (91, 0, 92, 3, 126))]
+    )
+    def test_decode(self, prune, expected):
+        stats = DecodeStats()
+        chmm = Chmm(HMM_A, (Cardinality(["s1"], 2),))
+        constrained_viterbi(chmm, list("abaabba"), prune=prune, stats=stats)
+        assert counters(stats) == expected
