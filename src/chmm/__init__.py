@@ -13,7 +13,6 @@ from .constraints import (
     AllDiff,
     Cardinality,
     ConstraintSpec,
-    ConstraintStore,
     ConstraintSyntaxError,
     ForRange,
     ForallSubseq,
@@ -72,7 +71,6 @@ __all__ = [
     "Cardinality",
     "Chmm",
     "ConstraintSpec",
-    "ConstraintStore",
     "ConstraintSyntaxError",
     "DecodeStats",
     "ForRange",

@@ -114,16 +114,23 @@ def _timed(fn: Callable[[DecodeStats], object]) -> tuple[float, DecodeStats]:
 
 def _measure(
     experiment: str,
-    variant: str,
     size: int,
     reps: int,
-    fn: Callable[[DecodeStats], object],
+    variants: dict[str, Callable[[DecodeStats], object]],
 ) -> list[BenchRow]:
-    fn(DecodeStats())  # warmup, untimed
+    """Rows for ``reps`` timed runs of each variant plus a median row, grouped
+    by variant. The runs alternate between the variants rep by rep, so a
+    burst of load on the machine slows every variant of a size alike; the
+    ratios between variants (acceptance criterion 4) depend on that."""
+    for fn in variants.values():
+        fn(DecodeStats())  # warmup, untimed
+    runs: dict[str, list] = {variant: [] for variant in variants}
+    for _rep in range(reps):
+        for variant, fn in variants.items():
+            runs[variant].append(_timed(fn))
     rows = []
-    for rep in range(reps):
-        elapsed_ms, stats = _timed(fn)
-        rows.append(
+    for variant, timed in runs.items():
+        group = [
             BenchRow(
                 experiment,
                 variant,
@@ -134,20 +141,22 @@ def _measure(
                 stats.expansions,
                 stats.prunes,
             )
+            for rep, (elapsed_ms, stats) in enumerate(timed)
+        ]
+        median = statistics.median(r.wall_ms for r in group)
+        rows.extend(group)
+        rows.append(
+            BenchRow(
+                experiment,
+                variant,
+                size,
+                "median",
+                median,
+                group[0].peak_table_entries,
+                group[0].expansions,
+                group[0].prunes,
+            )
         )
-    median = statistics.median(r.wall_ms for r in rows)
-    rows.append(
-        BenchRow(
-            experiment,
-            variant,
-            size,
-            "median",
-            median,
-            rows[0].peak_table_entries,
-            rows[0].expansions,
-            rows[0].prunes,
-        )
-    )
     return rows
 
 
@@ -164,19 +173,12 @@ def length_scaling(
         rows.extend(
             _measure(
                 "length-scaling",
-                "plain",
                 length,
                 reps,
-                lambda st: align_plain(params, x, y, stats=st),
-            )
-        )
-        rows.extend(
-            _measure(
-                "length-scaling",
-                "constrained-empty",
-                length,
-                reps,
-                lambda st: align(empty, x, y, stats=st),
+                {
+                    "plain": lambda st: align_plain(params, x, y, stats=st),
+                    "constrained-empty": lambda st: align(empty, x, y, stats=st),
+                },
             )
         )
     return rows
@@ -204,10 +206,9 @@ def budget_scaling(
         rows.extend(
             _measure(
                 "budget-scaling",
-                "indel-budget",
                 budget,
                 reps,
-                lambda st: align(model, x, y, stats=st),
+                {"indel-budget": lambda st: align(model, x, y, stats=st)},
             )
         )
     return rows
@@ -248,10 +249,9 @@ def prune_ablation(
         rows.extend(
             _measure(
                 "prune-ablation",
-                "pruned",
                 length,
                 reps,
-                lambda st: constrained_viterbi(chmm, obs, stats=st),
+                {"pruned": lambda st: constrained_viterbi(chmm, obs, stats=st)},
             )
         )
         if unpruned_over_cap:
@@ -265,10 +265,13 @@ def prune_ablation(
         rows.extend(
             _measure(
                 "prune-ablation",
-                "unpruned",
                 length,
                 reps,
-                lambda st: constrained_viterbi(chmm, obs, prune=False, stats=st),
+                {
+                    "unpruned": lambda st: constrained_viterbi(
+                        chmm, obs, prune=False, stats=st
+                    )
+                },
             )
         )
     return rows

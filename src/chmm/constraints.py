@@ -309,42 +309,36 @@ def _canon(value) -> str:
     raise TypeError(f"non-canonical store component: {value!r}")
 
 
-@dataclass(frozen=True)
-class ConstraintStore:
-    """Aggregate of per-constraint stores, in declaration order.
+def init_aggregate(specs: Sequence[ConstraintSpec]) -> tuple:
+    """Initial aggregate store for a list of declared constraints: a tuple of
+    per-constraint stores in declaration order.
 
-    Values are canonical: two stores compare equal exactly when their
-    serializations are byte-identical, and equal stores accept/reject any
+    Stores are canonical: two aggregates compare equal exactly when their
+    serializations are byte-identical, and equal aggregates accept/reject any
     future update suffix identically.
     """
-
-    parts: tuple[object, ...]
-
-
-def init_aggregate(specs: Sequence[ConstraintSpec]) -> ConstraintStore:
-    """Initial aggregate store for a list of declared constraints."""
-    return ConstraintStore(tuple(init_store(spec) for spec in specs))
+    return tuple(init_store(spec) for spec in specs)
 
 
 def check_constraints(
-    specs: Sequence[ConstraintSpec], update: StateUpdate, store: ConstraintStore
-) -> Optional[ConstraintStore]:
+    specs: Sequence[ConstraintSpec], update: StateUpdate, store: tuple
+) -> Optional[tuple]:
     """Check one update against every declared constraint, in order.
 
     Checkers are consulted in declaration order and the first rejection wins;
     on accept, the returned aggregate carries every updated component.
     """
-    if len(specs) != len(store.parts):
+    if len(specs) != len(store):
         raise ValueError(
-            f"store has {len(store.parts)} components for {len(specs)} constraints"
+            f"store has {len(store)} components for {len(specs)} constraints"
         )
-    parts = list(store.parts)
+    parts = list(store)
     for i, spec in enumerate(specs):
         part = check_sat(spec, update, parts[i])
         if part is None:
             return None
         parts[i] = part
-    return ConstraintStore(tuple(parts))
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------

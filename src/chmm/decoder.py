@@ -1,14 +1,16 @@
 """Constraint-pruned Viterbi decoding.
 
-Every decoder in this package is one dynamic program, ``_lattice_viterbi``.
-It walks a lattice of nodes in topological order and keeps, per node, one
-best partial path per (state, constraint store) key. Expansion extends a path
-only along positive-probability edges whose update every constraint checker
-accepts. Equal stores behave identically forever, so dropping the
-lower-probability member of a key can never discard the optimum. Paths are
-kept as backpointers, so memory stays proportional to the table instead of
-table x path length. ``constrained_viterbi`` has one lattice node per
-observation level; ``pairhmm.align`` has one per (i, j) cell.
+Every constrained decoder in this package is one dynamic program,
+``_lattice_viterbi``; the unconstrained baselines ``hmm.viterbi`` and
+``pairhmm.align_plain`` stay separate on purpose. The kernel walks a lattice
+of nodes in topological order and keeps, per node, one best partial path per
+(state, constraint store) key. Expansion extends a path only along
+positive-probability edges whose update every constraint checker accepts.
+Equal stores behave identically forever, so dropping the lower-probability
+member of a key can never discard the optimum. Paths are kept as
+backpointers, so memory stays proportional to the table instead of table x
+path length. ``constrained_viterbi`` has one lattice node per observation
+level; ``pairhmm.align`` has one per (i, j) cell.
 
 The same fact makes the declared constraints a deterministic automaton over
 updates: a store is a state, and the store an update leads to depends on

@@ -57,20 +57,6 @@ class Hmm:
     def initial_state(self) -> str:
         return self.states[0]
 
-    def transition(self, src: str, dst: str) -> float:
-        """Transition probability from src to dst; dst must be emitting."""
-        i = self.state_index[src]
-        j = self.state_index[dst]
-        if j == 0:
-            raise ValueError(f"no transitions into the initial state {dst!r}")
-        return self.transitions[i][j - 1]
-
-    def emission(self, state: str, symbol: str) -> float:
-        j = self.state_index[state]
-        if j == 0:
-            raise ValueError(f"the initial state {state!r} does not emit")
-        return self.emissions[j - 1][self.symbol_index[symbol]]
-
 
 @dataclass(frozen=True)
 class Run:

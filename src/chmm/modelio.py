@@ -43,11 +43,20 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _split_labelled(lineno: int, line: str) -> tuple[str, str]:
-    if ":" not in line:
-        raise ModelParseError(f"line {lineno}: expected 'label: values', got {line!r}")
-    label, _, rest = line.partition(":")
-    return label.strip(), rest.strip()
+def _labelled(lines, scalars: tuple[str, ...]):
+    """Yield ``(lineno, label, values)`` per line; a field named in
+    ``scalars`` may appear only once."""
+    seen: set[str] = set()
+    for lineno, line in lines:
+        if ":" not in line:
+            raise ModelParseError(f"line {lineno}: expected 'label: values', got {line!r}")
+        label, _, rest = line.partition(":")
+        label = label.strip()
+        if label in scalars:
+            if label in seen:
+                raise ModelParseError(f"line {lineno}: duplicate field {label!r}")
+            seen.add(label)
+        yield lineno, label, rest.strip()
 
 
 def _floats(lineno: int, label: str, text: str) -> tuple[float, ...]:
@@ -82,8 +91,7 @@ def _parse_hmm(lines) -> Hmm:
     alphabet: tuple[str, ...] = ()
     trans: dict[str, tuple[float, ...]] = {}
     emit: dict[str, tuple[float, ...]] = {}
-    for lineno, line in lines:
-        label, rest = _split_labelled(lineno, line)
+    for lineno, label, rest in _labelled(lines, ("states", "alphabet")):
         if label == "states":
             states = tuple(rest.split())
         elif label == "alphabet":
@@ -133,8 +141,9 @@ def _parse_pair(lines) -> PairHmmParams:
     gap_open = gap_extend = None
     match_rows: dict[str, tuple[float, ...]] = {}
     gap_row = None
-    for lineno, line in lines:
-        label, rest = _split_labelled(lineno, line)
+    for lineno, label, rest in _labelled(
+        lines, ("alphabet", "gap_open", "gap_extend", "gap")
+    ):
         if label == "alphabet":
             alphabet = tuple(rest.split())
         elif label == "gap_open":

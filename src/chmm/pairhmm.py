@@ -379,8 +379,12 @@ def align_plain(
 ) -> Optional[Alignment]:
     """Classical pair-HMM alignment with no constraint machinery at all.
 
-    The benchmark baseline, and an independent reference for the
-    empty-constraint case.
+    The textbook three-score Viterbi recursion (Durbin et al., *Biological
+    Sequence Analysis*, 1998, ch. 4): per cell, a match, an insert and a
+    delete score and the state each came from; a tie goes to the first of
+    match, insert and delete. As the benchmark baseline and the independent
+    reference for the empty-constraint case, it stays apart from the
+    decoder's lattice kernel on purpose.
     """
     model = PairChmm(params, ())
     _check_symbols(params.alphabet, x, y)
@@ -390,69 +394,67 @@ def align_plain(
     trans = model.transition_log
     mlog = model.match_log
     glog = model.gap_log
-
-    cells: dict = {(0, 0): {"begin": (0.0, None, None)}}
-    total_entries = 1
+    names = PAIR_STATES[1:]  # state s is names[s]: 0 match, 1 insert, 2 delete
+    # into[t] holds (s, log transition s -> t) for each existing transition;
+    # begin shares match's row, so it is the match score of cell (0, 0).
+    into = [[(s, trans[a, b]) for s, a in enumerate(names) if (a, b) in trans] for b in names]
+    # Cell (i, j) is index i * (ny + 1) + j; state s steps back[s] to its
+    # predecessor cell. None marks an unreachable score.
+    back = (ny + 2, ny + 1, 1)
+    size = (nx + 1) * (ny + 1)
+    score = [[None] * size for _ in names]
+    came = [[None] * size for _ in names]
+    score[0][0] = 0.0
+    total = 1
+    merges = 0
     for t in range(1, nx + ny + 1):
         for i in range(max(0, t - ny), min(t, nx) + 1):
             j = t - i
-            cell: dict = {}
-
-            def feed(pred_cell_key, state, le, op):
-                nonlocal total_entries
-                pred = cells.get(pred_cell_key)
-                if pred is None:
-                    return
-                for pstate, (plp, _pk, _op) in pred.items():
-                    lt = trans.get((pstate, state))
-                    if lt is None:
+            c = i * (ny + 1) + j
+            emits = (
+                mlog.get((x[i - 1], y[j - 1])) if i and j else None,
+                glog.get(x[i - 1]) if i else None,
+                glog.get(y[j - 1]) if j else None,
+            )
+            for dst, le in enumerate(emits):
+                if le is None:
+                    continue
+                pred = c - back[dst]
+                best = None
+                for s, lt in into[dst]:
+                    plp = score[s][pred]
+                    if plp is None:
                         continue
-                    if stats:
-                        stats.expansions += 1
                     nlp = plp + lt
                     nlp += le
-                    old = cell.get(state)
-                    if old is None:
-                        cell[state] = (nlp, (pred_cell_key, pstate), op)
+                    if best is None:
+                        total += 1
                     else:
-                        if stats:
-                            stats.prunes += 1
-                        if nlp > old[0]:
-                            cell[state] = (nlp, (pred_cell_key, pstate), op)
-
-            if i >= 1 and j >= 1:
-                le = mlog.get((x[i - 1], y[j - 1]))
-                if le is not None:
-                    feed((i - 1, j - 1), "match", le, ("match", i, j))
-            if i >= 1:
-                le = glog.get(x[i - 1])
-                if le is not None:
-                    feed((i - 1, j), "insert", le, ("insert", i))
-            if j >= 1:
-                le = glog.get(y[j - 1])
-                if le is not None:
-                    feed((i, j - 1), "delete", le, ("delete", j))
-            if cell:
-                cells[(i, j)] = cell
-                total_entries += len(cell)
+                        merges += 1
+                        if not nlp > best:
+                            continue
+                    best = nlp
+                    came[dst][c] = s
+                score[dst][c] = best
     if stats:
-        stats.peak_entries = max(stats.peak_entries, total_entries)
+        # Each expansion stored a score or merged; begin was stored without one.
+        stats.expansions += total - 1 + merges
+        stats.prunes += merges
+        stats.peak_entries = max(stats.peak_entries, total)
 
-    final = cells.get((nx, ny))
-    if final is None:
+    c = size - 1
+    s = None  # the first of match, insert, delete with the best final score
+    for t in range(3):
+        if score[t][c] is not None and (s is None or score[t][c] > score[s][c]):
+            s = t
+    if s is None:
         return None
-    best = None
-    for entry in final.values():
-        if best is None or entry[0] > best[0]:
-            best = entry
-    ops: list[tuple] = []
-    entry = best
-    while entry[1] is not None:
-        ops.append(entry[2])
-        pred_cell_key, pstate = entry[1]
-        entry = cells[pred_cell_key][pstate]
-    ops.reverse()
-    return Alignment(tuple(ops), best[0])
+    log_prob = score[s][c]
+    letters = []
+    while c:
+        letters.append("mid"[s])
+        s, c = came[s][c], c - back[s]
+    return Alignment(ops_from_letters("".join(reversed(letters))), log_prob)
 
 
 def brute_force_align(

@@ -24,8 +24,8 @@ def direct_run_probability(hmm: Hmm, path, observation) -> float:
     prob = 1.0
     prev = path[0]
     for state, symbol in zip(path[1:], observation):
-        prob *= hmm.transition(prev, state)
-        prob *= hmm.emission(state, symbol)
+        prob *= hmm.transitions[hmm.state_index[prev]][hmm.state_index[state] - 1]
+        prob *= hmm.emissions[hmm.state_index[state] - 1][hmm.symbol_index[symbol]]
         prev = state
     return prob
 

@@ -1,5 +1,6 @@
 import pytest
 
+from chmm import bench
 from chmm.bench import (
     BUDGETS,
     CSV_COLUMNS,
@@ -57,6 +58,21 @@ def test_csv_identical_across_runs_excluding_timing():
     first = to_csv(run_experiment("length-scaling", reps=3, lengths=(4, 8)))
     second = to_csv(run_experiment("length-scaling", reps=3, lengths=(4, 8)))
     assert strip_timing(first) == strip_timing(second)
+
+
+def test_length_scaling_alternates_variants_rep_by_rep(monkeypatch):
+    # Criterion 4 divides one variant's median by the other's, so a burst of
+    # load must not land on the reps of one variant only.
+    calls = []
+    monkeypatch.setattr(bench, "align_plain", lambda *args, stats: calls.append("plain"))
+    monkeypatch.setattr(bench, "align", lambda *args, stats: calls.append("constrained"))
+    rows = run_experiment("length-scaling", reps=3, lengths=(4,))
+    assert calls == ["plain", "constrained"] * 4  # one untimed warmup each
+    assert [(r.variant, r.rep) for r in rows] == [
+        (variant, rep)
+        for variant in ("plain", "constrained-empty")
+        for rep in ("0", "1", "2", "median")
+    ]
 
 
 def test_median_by_size_selects_median_rows():

@@ -164,6 +164,23 @@ class TestAlign:
         assert code == EXIT_ERROR
         assert "unknown symbol" in capsys.readouterr().err
 
+    def test_repeated_model_field_is_an_input_error(self, tmp_path, capsys):
+        model = tmp_path / "pair.txt"
+        text = format_model(uniform_pair_params(("A", "B", "C"), 0.2, 0.2))
+        model.write_text(text.replace("gap_open: 0.2\n", "gap_open: 0.2\ngap_open: 0.1\n"))
+        code = main(
+            [
+                "align",
+                "--model", str(model),
+                "--x", fasta(tmp_path, "x.fa", "A"),
+                "--y", fasta(tmp_path, "y.fa", "A"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == "error: line 4: duplicate field 'gap_open'\n"
+
     def test_hmm_model_rejected_for_align(self, model_file, tmp_path, capsys):
         code = main(
             [

@@ -3,7 +3,6 @@ import pytest
 from chmm import (
     AllDiff,
     Cardinality,
-    ConstraintStore,
     ConstraintSyntaxError,
     ForRange,
     ForallSubseq,
@@ -177,15 +176,15 @@ class TestCheckSat:
 
 class TestAggregate:
     def test_empty_aggregate(self):
-        assert init_aggregate([]) == ConstraintStore(())
+        assert init_aggregate([]) == ()
 
     def test_component_stores_in_declaration_order(self):
         store = init_aggregate([Cardinality(("i",), 2), AllDiff()])
-        assert store.parts == (0, ())
+        assert store == (0, ())
 
     def test_nested_aggregate(self):
         store = init_aggregate([ForRange(1, 3, AllDiff())])
-        assert store.parts == ((1, ()),)
+        assert store == ((1, ()),)
 
     def test_empty_conjunction_accepts_everything(self):
         store = init_aggregate([])
@@ -200,12 +199,12 @@ class TestAggregate:
         specs = [AllDiff(), Cardinality(("insert",), 5)]
         store = init_aggregate(specs)
         store = check_constraints(specs, upd("insert", "a"), store)
-        assert store.parts == ((upd("insert", "a"),), 1)
+        assert store == ((upd("insert", "a"),), 1)
         assert check_constraints(specs, upd("insert", "a"), store) is None
 
     def test_arity_mismatch_raises(self):
         with pytest.raises(ValueError, match="components"):
-            check_constraints([AllDiff()], upd("x", "a"), ConstraintStore((0, 1)))
+            check_constraints([AllDiff()], upd("x", "a"), (0, 1))
 
 
 class TestDeclarative:

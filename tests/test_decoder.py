@@ -67,7 +67,7 @@ class TestInitTuples:
 
     def test_initial_store_reflects_constraints(self):
         chmm = Chmm(HMM_A, (StateSpecific(Cardinality(("s2",), 1)),))
-        assert init_aggregate(chmm.constraints).parts == (0,)
+        assert init_aggregate(chmm.constraints) == (0,)
         # The unconstrained optimum is s0 s2 s2; a count starting at 0 admits one s2.
         assert viterbi(HMM_A, ["b", "b"])[0] == ("s0", "s2", "s2")
         path, _ = constrained_viterbi(chmm, ["b", "b"])
@@ -412,6 +412,7 @@ class TestCheckCache:
         constrained_viterbi(Chmm(HMM_A, (spec,)), obs, prune=False, stats=stats)
         # Every positive-probability successor of every accepted prefix is a
         # candidate, and each is checked on its own.
+        ix = HMM_A.state_index
         candidates = 0
         for k in range(len(obs)):
             for tail in itertools.product(HMM_A.states[1:], repeat=k):
@@ -422,7 +423,8 @@ class TestCheckCache:
                 candidates += sum(
                     1
                     for t in HMM_A.states[1:]
-                    if HMM_A.transition(prev, t) > 0 and HMM_A.emission(t, obs[k]) > 0
+                    if HMM_A.transitions[ix[prev]][ix[t] - 1] > 0
+                    and HMM_A.emissions[ix[t] - 1][HMM_A.symbol_index[obs[k]]] > 0
                 )
         assert counted_checks["calls"] == stats.checks == candidates == 126
 

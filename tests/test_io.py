@@ -80,6 +80,29 @@ class TestModelParsing:
         with pytest.raises(ModelParseError, match="missing emission row for state 's2'"):
             parse_model_text(bad)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (HMM_TEXT, "states: s0 s1 s2"),
+            (HMM_TEXT, "alphabet: a b"),
+            (PAIR_TEXT, "alphabet: A B"),
+            (PAIR_TEXT, "gap_open: 0.2"),
+            (PAIR_TEXT, "gap_extend: 0.3"),
+            (PAIR_TEXT, "gap: 0.5 0.5"),
+        ],
+        ids=["hmm-states", "hmm-alphabet", "pair-alphabet", "pair-gap_open",
+             "pair-gap_extend", "pair-gap"],
+    )
+    def test_repeated_scalar_field_rejected(self, text, line):
+        # The repeat is appended as the last line, so the error names it.
+        repeated = text + line + "\n"
+        lineno = len(repeated.splitlines())
+        field = line.partition(":")[0]
+        with pytest.raises(
+            ModelParseError, match=f"^line {lineno}: duplicate field '{field}'$"
+        ):
+            parse_model_text(repeated)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ModelParseError, match="unknown model kind"):
             parse_model_text("markov\nstates: s0\n")

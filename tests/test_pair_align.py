@@ -7,6 +7,7 @@ from chmm import (
     AllDiff,
     Alignment,
     Cardinality,
+    DecodeStats,
     ForallSubseq,
     LockToSet,
     PairHmmParams,
@@ -317,6 +318,46 @@ class TestAlign:
         assert result is None  # four inserts in a row always contain a full window
         unconstrained = align(build_pair_chmm(params), "AAAA", "")
         assert unconstrained is not None
+
+
+class TestAlignPlain:
+    """The unconstrained baseline, checked on its own rather than through
+    ``align``."""
+
+    def test_counters_on_a_tie_heavy_pair(self):
+        # Uniform emissions make many partial alignments tie; the pinned
+        # counters and the ops are those of the previous implementation and
+        # of ``align`` on the empty model.
+        rng = random.Random(40)
+        x = "".join(rng.choice("ACGT") for _ in range(40))
+        y = "".join(rng.choice("ACGT") for _ in range(40))
+        params = uniform_pair_params("ACGT")
+        plain_stats, stats = DecodeStats(), DecodeStats()
+        plain = align_plain(params, x, y, stats=plain_stats)
+        constrained = align(build_pair_chmm(params), x, y, stats=stats)
+        counters = (plain_stats.expansions, plain_stats.prunes, plain_stats.peak_entries)
+        assert counters == (10804, 6004, 4801)
+        assert counters == (stats.expansions, stats.prunes, stats.peak_entries)
+        assert plain == constrained
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(67)
+        found = 0
+        for _ in range(240):
+            params = random_pair_params(rng)
+            model = build_pair_chmm(params)
+            x = tuple(rng.choice(params.alphabet) for _ in range(rng.randint(0, 5)))
+            y = tuple(rng.choice(params.alphabet) for _ in range(rng.randint(0, 5)))
+            plain = align_plain(params, x, y)
+            expected = brute_force_align(model, x, y)
+            if expected is None:
+                assert plain is None
+                continue
+            found += 1
+            assert plain is not None
+            assert abs(plain.log_prob - expected.log_prob) <= 1e-9
+            assert alignment_log_probability(model, x, y, plain) == plain.log_prob
+        assert found >= 200
 
 
 class TestBruteForceAlign:
