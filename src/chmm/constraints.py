@@ -8,6 +8,13 @@ into it, answering accept (a new store) or reject (``None``). A checker may
 only reject once no extension of the history can satisfy the constraint,
 which is what makes rejection safe for pruning partial decoder paths.
 
+Each spec object is compiled once, on first use, into its initial store and
+a step function ``(store, update) -> store | None``, and keeps both (see
+``_compile``, the one incremental definition of every form). Combinators
+close over their child's compiled step, so stepping a nested constraint never
+dispatches on its form again. A step is a pure function of its arguments, so
+nothing of one decode reaches the next.
+
 Stores are immutable canonical values built from ints, strings, tuples and
 ``None``: equal histories produce identical stores, equal stores serialize
 identically, and equal stores behave identically on any future updates. That
@@ -19,7 +26,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 WILDCARD = "_"
 
@@ -75,8 +83,22 @@ def _patterns(values) -> tuple[UpdatePattern, ...]:
     return tuple(as_pattern(v) for v in values)
 
 
+class _Form:
+    """Base of the constraint forms: each spec object compiles its checker
+    on first use and keeps it, the way ``Hmm.state_index`` is kept."""
+
+    @cached_property
+    def _compiled(self) -> "_Checker":
+        return _compile(self)
+
+    def __getstate__(self):
+        # The compiled checker is made of closures, which do not pickle; a
+        # copy compiles its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+
+
 @dataclass(frozen=True)
-class Cardinality:
+class Cardinality(_Form):
     """At most ``max_count`` updates matching any of ``patterns``."""
 
     patterns: tuple[UpdatePattern, ...]
@@ -87,12 +109,12 @@ class Cardinality:
 
 
 @dataclass(frozen=True)
-class AllDiff:
+class AllDiff(_Form):
     """All updates in the history are pairwise distinct."""
 
 
 @dataclass(frozen=True)
-class LockToSequence:
+class LockToSequence(_Form):
     """The history must follow ``sequence`` position by position.
 
     Histories longer than the sequence are rejected; shorter ones are
@@ -106,7 +128,7 @@ class LockToSequence:
 
 
 @dataclass(frozen=True)
-class LockToSet:
+class LockToSet(_Form):
     """Every update must match at least one of ``allowed``."""
 
     allowed: tuple[UpdatePattern, ...]
@@ -116,7 +138,7 @@ class LockToSet:
 
 
 @dataclass(frozen=True)
-class ForRange:
+class ForRange(_Form):
     """Apply ``child`` only to positions first..last (1-based, inclusive)."""
 
     first: int
@@ -125,7 +147,7 @@ class ForRange:
 
 
 @dataclass(frozen=True)
-class ForallSubseq:
+class ForallSubseq(_Form):
     """Apply ``child`` to every full window of ``window`` consecutive updates.
 
     Trailing windows shorter than ``window`` are never checked.
@@ -136,7 +158,7 @@ class ForallSubseq:
 
 
 @dataclass(frozen=True)
-class StateSpecific:
+class StateSpecific(_Form):
     """Apply ``child`` to the state part of each update only."""
 
     child: "ConstraintSpec"
@@ -194,25 +216,7 @@ def project_to_state(update: StateUpdate) -> StateUpdate:
 def init_store(spec: ConstraintSpec):
     """Empty-history checker state for one constraint."""
     _require_valid(spec)
-    return _init(spec)
-
-
-def _init(spec):
-    if isinstance(spec, Cardinality):
-        return 0
-    if isinstance(spec, AllDiff):
-        return ()
-    if isinstance(spec, LockToSequence):
-        return 1
-    if isinstance(spec, LockToSet):
-        return ()
-    if isinstance(spec, ForRange):
-        return (1, _init(spec.child))
-    if isinstance(spec, ForallSubseq):
-        return ()
-    if isinstance(spec, StateSpecific):
-        return _init(spec.child)
-    raise ValueError(f"unknown constraint form: {spec!r}")
+    return _checker(spec).init
 
 
 def check_sat(spec: ConstraintSpec, update: StateUpdate, store):
@@ -221,49 +225,110 @@ def check_sat(spec: ConstraintSpec, update: StateUpdate, store):
     Returns the updated store on accept, ``None`` on reject. The input store
     is never mutated, so many branches of a search can share it.
     """
+    return _checker(spec).step(store, update)
+
+
+class _Checker(NamedTuple):
+    """One constraint compiled: its empty-history store and its step
+    function ``(store, update) -> store | None``."""
+
+    init: object
+    step: Callable
+
+
+def _checker(spec) -> _Checker:
+    try:
+        return spec._compiled
+    except AttributeError:
+        raise ValueError(f"unknown constraint form: {spec!r}") from None
+
+
+def _compile(spec) -> _Checker:
+    """The incremental definition of each constraint form."""
     if isinstance(spec, Cardinality):
-        if any(p.matches(update) for p in spec.patterns):
-            count = store + 1
-            return count if count <= spec.max_count else None
-        return store
+        patterns, bound = spec.patterns, spec.max_count
+
+        def cardinality(count, update):
+            if any(p.matches(update) for p in patterns):
+                count += 1
+                return count if count <= bound else None
+            return count
+
+        return _Checker(0, cardinality)
     if isinstance(spec, AllDiff):
-        # store is the sorted tuple of updates seen so far
-        i = bisect_left(store, update)
-        if i < len(store) and store[i] == update:
-            return None
-        return store[:i] + (update,) + store[i:]
-    if isinstance(spec, LockToSequence):
-        pos = store
-        if pos > len(spec.sequence) or not spec.sequence[pos - 1].matches(update):
-            return None
-        return pos + 1
-    if isinstance(spec, LockToSet):
-        return store if any(p.matches(update) for p in spec.allowed) else None
-    if isinstance(spec, ForRange):
-        pos, child = store
-        if spec.first <= pos <= spec.last:
-            child = check_sat(spec.child, update, child)
-            if child is None:
+
+        def alldiff(seen, update):
+            # seen is the sorted tuple of updates so far
+            i = bisect_left(seen, update)
+            if i < len(seen) and seen[i] == update:
                 return None
-        return (pos + 1, child)
-    if isinstance(spec, ForallSubseq):
-        # Windows stay open until they have consumed `window` updates; a
-        # violated window must not reject before completing, because the run
-        # may end first and partial windows are unchecked.
-        windows = store + ((0, _init(spec.child)),)
-        kept = []
-        for consumed, child in windows:
-            if child is not None:
-                child = check_sat(spec.child, update, child)
-            consumed += 1
-            if consumed == spec.window:
+            return seen[:i] + (update,) + seen[i:]
+
+        return _Checker((), alldiff)
+    if isinstance(spec, LockToSequence):
+        sequence = spec.sequence
+        size = len(sequence)
+
+        def lock_to_sequence(pos, update):
+            if pos > size or not sequence[pos - 1].matches(update):
+                return None
+            return pos + 1
+
+        return _Checker(1, lock_to_sequence)
+    if isinstance(spec, LockToSet):
+        allowed = spec.allowed
+
+        def lock_to_set(store, update):
+            return store if any(p.matches(update) for p in allowed) else None
+
+        return _Checker((), lock_to_set)
+    if isinstance(spec, ForRange):
+        first, last = spec.first, spec.last
+        child_init, child_step = _checker(spec.child)
+
+        def for_range(store, update):
+            pos, child = store
+            if first <= pos <= last:
+                child = child_step(child, update)
                 if child is None:
                     return None
-                continue
-            kept.append((consumed, child))
-        return tuple(kept)
+            return (pos + 1, child)
+
+        return _Checker((1, child_init), for_range)
+    if isinstance(spec, ForallSubseq):
+        full = spec.window - 1
+        child_init, child_step = _checker(spec.child)
+
+        def forall_subseq(windows, update):
+            # The store holds the open windows, oldest first, as (updates
+            # consumed, child store or None once violated). A violated
+            # window must not reject before completing, because the run may
+            # end first and partial windows are unchecked.
+            kept = []
+            for consumed, child in windows:
+                if child is not None:
+                    child = child_step(child, update)
+                if consumed == full:
+                    if child is None:
+                        return None
+                    continue
+                kept.append((consumed + 1, child))
+            # The window this update opens; with window 1 it is full at once.
+            child = child_step(child_init, update)
+            if full:
+                kept.append((1, child))
+            elif child is None:
+                return None
+            return tuple(kept)
+
+        return _Checker((), forall_subseq)
     if isinstance(spec, StateSpecific):
-        return check_sat(spec.child, project_to_state(update), store)
+        child_init, child_step = _checker(spec.child)
+
+        def state_specific(store, update):
+            return child_step(store, project_to_state(update))
+
+        return _Checker(child_init, state_specific)
     raise ValueError(f"unknown constraint form: {spec!r}")
 
 
@@ -317,7 +382,14 @@ def init_aggregate(specs: Sequence[ConstraintSpec]) -> tuple:
     serializations are byte-identical, and equal aggregates accept/reject any
     future update suffix identically.
     """
-    return tuple(init_store(spec) for spec in specs)
+    for spec in specs:
+        _require_valid(spec)
+    return _initial_aggregate(specs)
+
+
+def _initial_aggregate(specs: Sequence[ConstraintSpec]) -> tuple:
+    # ``init_aggregate`` for specs the caller has validated already.
+    return tuple(_checker(spec).init for spec in specs)
 
 
 def check_constraints(
@@ -332,12 +404,12 @@ def check_constraints(
         raise ValueError(
             f"store has {len(store)} components for {len(specs)} constraints"
         )
-    parts = list(store)
-    for i, spec in enumerate(specs):
-        part = check_sat(spec, update, parts[i])
+    parts = []
+    for spec, part in zip(specs, store):
+        part = _checker(spec).step(part, update)
         if part is None:
             return None
-        parts[i] = part
+        parts.append(part)
     return tuple(parts)
 
 

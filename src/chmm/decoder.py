@@ -52,9 +52,9 @@ from typing import Optional, Sequence
 from .constraints import (
     ConstraintSpec,
     StateUpdate,
+    _initial_aggregate,
     check_constraints,
     declarative_satisfies,
-    init_aggregate,
     validate_spec,
 )
 from .hmm import NEG_INF, Hmm, Run, run_log_probability, validate_model
@@ -114,7 +114,9 @@ class _StoreAutomaton:
     """
 
     def __init__(self, specs):
-        start = init_aggregate(specs)
+        # Every caller has validated the specs: constrained_viterbi through
+        # validate_chmm, align through build_pair_chmm.
+        start = _initial_aggregate(specs)
         self.specs = specs
         self.stores = [start]
         self.ids = {start: 0}
@@ -178,7 +180,10 @@ def _lattice_viterbi(specs, trans_log, source, lattice, sink, prune, stats):
         for node, edges in layer:
             table: dict = {}
             for pred, moves in edges:
-                for parent in live.get(pred, {}).values():
+                parents = live.get(pred)
+                if parents is None:
+                    continue
+                for parent in parents.values():
                     plp, s, sid, _parent = parent
                     row = trans_log[s]
                     arc = arcs[sid]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from chmm import (
     constrained_viterbi,
     declarative_satisfies,
     init_aggregate,
+    parse_constraint,
     run_log_probability,
     uniform_pair_params,
     viterbi,
@@ -433,6 +435,26 @@ def counters(stats):
     return (stats.expansions, stats.prunes, stats.peak_entries, stats.stores, stats.checks)
 
 
+HMM_B = Hmm(
+    states=("s0", "s1", "s2", "s3"),
+    alphabet=("a", "b"),
+    transitions=((0.5, 0.3, 0.2), (0.2, 0.5, 0.3), (0.4, 0.2, 0.4), (0.3, 0.3, 0.4)),
+    emissions=((0.8, 0.2), (0.3, 0.7), (0.5, 0.5)),
+)
+OBS_B = list("abbabaab")
+# (constraint texts, counters) on HMM_B and OBS_B
+FORM_COUNTERS = [
+    (("forall_subseq(3,alldiff)",), (120, 60, 61, 34, 156)),
+    (("state_specific(forall_subseq(2,alldiff))",), (45, 21, 25, 4, 21)),
+    (("for_range(2,5,lock_to_set([s1,(s3,b)]))",), (41, 22, 20, 9, 24)),
+    (("lock_to_sequence([s1,_,(s2,b),s3,_,s2,(_,a),_])",), (26, 10, 17, 9, 24)),
+    (
+        ("cardinality([s2,(s3,a)],2)", "state_specific(forall_subseq(2,alldiff))"),
+        (53, 18, 36, 9, 48),
+    ),
+]
+
+
 class TestCounters:
     """The kernel derives its counters once per walk, from the entries it
     stored and the merges; these values equal a count taken at every
@@ -454,4 +476,33 @@ class TestCounters:
         stats = DecodeStats()
         chmm = Chmm(HMM_A, (Cardinality(["s1"], 2),))
         constrained_viterbi(chmm, list("abaabba"), prune=prune, stats=stats)
+        assert counters(stats) == expected
+
+    @pytest.mark.parametrize("texts, expected", FORM_COUNTERS)
+    def test_constraint_forms(self, texts, expected):
+        stats = DecodeStats()
+        chmm = Chmm(HMM_B, tuple(parse_constraint(t) for t in texts))
+        constrained_viterbi(chmm, OBS_B, stats=stats)
+        assert counters(stats) == expected
+
+    @pytest.mark.parametrize("texts", [texts for texts, _ in FORM_COUNTERS])
+    def test_decoding_one_model_twice_repeats_the_first_decode(self, texts):
+        # Each spec keeps its compiled checker; nothing of one decode may
+        # reach the next.
+        chmm = Chmm(HMM_B, tuple(parse_constraint(t) for t in texts))
+        runs = []
+        for _ in range(2):
+            stats = DecodeStats()
+            result = constrained_viterbi(chmm, OBS_B, stats=stats)
+            runs.append((result, counters(stats)))
+        assert runs[0] == runs[1]
+
+    def test_a_decoded_model_pickles(self):
+        texts, expected = FORM_COUNTERS[-1]
+        chmm = Chmm(HMM_B, tuple(parse_constraint(t) for t in texts))
+        first = constrained_viterbi(chmm, OBS_B)
+        copy = pickle.loads(pickle.dumps(chmm))
+        assert copy == chmm
+        stats = DecodeStats()
+        assert constrained_viterbi(copy, OBS_B, stats=stats) == first
         assert counters(stats) == expected
