@@ -384,11 +384,6 @@ def init_aggregate(specs: Sequence[ConstraintSpec]) -> tuple:
     """
     for spec in specs:
         _require_valid(spec)
-    return _initial_aggregate(specs)
-
-
-def _initial_aggregate(specs: Sequence[ConstraintSpec]) -> tuple:
-    # ``init_aggregate`` for specs the caller has validated already.
     return tuple(_checker(spec).init for spec in specs)
 
 

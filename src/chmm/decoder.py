@@ -52,9 +52,9 @@ from typing import Optional, Sequence
 from .constraints import (
     ConstraintSpec,
     StateUpdate,
-    _initial_aggregate,
     check_constraints,
     declarative_satisfies,
+    init_aggregate,
     validate_spec,
 )
 from .hmm import NEG_INF, Hmm, Run, run_log_probability, validate_model
@@ -114,9 +114,7 @@ class _StoreAutomaton:
     """
 
     def __init__(self, specs):
-        # Every caller has validated the specs: constrained_viterbi through
-        # validate_chmm, align through build_pair_chmm.
-        start = _initial_aggregate(specs)
+        start = init_aggregate(specs)
         self.specs = specs
         self.stores = [start]
         self.ids = {start: 0}

@@ -9,7 +9,9 @@ from chmm import (
     Cardinality,
     DecodeStats,
     ForallSubseq,
+    ForRange,
     LockToSet,
+    PairChmm,
     PairHmmParams,
     StateSpecific,
     align,
@@ -172,6 +174,21 @@ class TestAlign:
         model = build_pair_chmm(uniform_pair_params(("A", "B")))
         result = align(model, "", "")
         assert result == Alignment((), 0.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Cardinality(("insert",), -1),
+            ForRange(3, 2, AllDiff()),
+            ForallSubseq(0, AllDiff()),
+        ],
+    )
+    def test_invalid_constraint_on_a_hand_built_model_raises(self, spec):
+        # PairChmm validates nothing itself; align must not decode an
+        # invalid constraint as written.
+        model = PairChmm(uniform_pair_params(("A", "C")), (spec,))
+        with pytest.raises(ValueError):
+            align(model, "ACCA", "ACA")
 
     def test_identity_favoring_params_match_everything(self):
         model = build_pair_chmm(identity_favoring_params())
