@@ -33,6 +33,8 @@ LENGTHS = (16, 32, 64, 128)
 BUDGETS = (32, 16, 8, 4, 2)
 BUDGET_LENGTH = 32
 ABLATION_LENGTHS = (4, 6, 8, 10)
+# Once one unpruned probe takes longer than this, longer lengths skip it.
+ABLATION_TIME_CAP_S = 60.0
 DEFAULT_SEED = 20100
 DEFAULT_REPS = 7
 
@@ -238,7 +240,6 @@ def prune_ablation(
     seed: int = DEFAULT_SEED,
     reps: int = DEFAULT_REPS,
     lengths=ABLATION_LENGTHS,
-    time_cap_s: float = 60.0,
 ) -> list[BenchRow]:
     del seed  # inputs are fixed; kept for a uniform experiment signature
     chmm = Chmm(ablation_model(), (AllDiff(),))
@@ -259,7 +260,7 @@ def prune_ablation(
         probe_ms, _ = _timed(
             lambda st: constrained_viterbi(chmm, obs, prune=False, stats=st)
         )
-        if probe_ms > time_cap_s * 1000.0:
+        if probe_ms > ABLATION_TIME_CAP_S * 1000.0:
             unpruned_over_cap = True
             continue
         rows.extend(

@@ -10,10 +10,13 @@ which is what makes rejection safe for pruning partial decoder paths.
 
 Each spec object is compiled once, on first use, into its initial store and
 a step function ``(store, update) -> store | None``, and keeps both (see
-``_compile``, the one incremental definition of every form). Combinators
-close over their child's compiled step, so stepping a nested constraint never
-dispatches on its form again. A step is a pure function of its arguments, so
-nothing of one decode reaches the next.
+``_compile``, the one definition of every form). Compiling checks the
+form's fields and raises ``ValueError`` at the first fault, so a spec object
+is checked once in its lifetime (a failed compile is not kept);
+``validate_spec`` reports that first fault. Combinators close over their
+child's compiled step, so stepping a nested constraint never dispatches on
+its form again. A step is a pure function of its arguments, so nothing of one
+decode reaches the next.
 
 Stores are immutable canonical values built from ints, strings, tuples and
 ``None``: equal histories produce identical stores, equal stores serialize
@@ -176,36 +179,13 @@ ConstraintSpec = Union[
 
 
 def validate_spec(spec) -> list[str]:
-    """Structural checks for one constraint; returns violations (empty = ok)."""
-    problems: list[str] = []
-    if isinstance(spec, Cardinality):
-        if not isinstance(spec.max_count, int) or isinstance(spec.max_count, bool):
-            problems.append(f"cardinality bound {spec.max_count!r} is not an integer")
-        elif spec.max_count < 0:
-            problems.append(f"cardinality bound {spec.max_count} is negative")
-    elif isinstance(spec, (AllDiff, LockToSequence, LockToSet)):
-        pass
-    elif isinstance(spec, ForRange):
-        if not (1 <= spec.first <= spec.last):
-            problems.append(
-                f"for_range requires 1 <= first <= last, got ({spec.first}, {spec.last})"
-            )
-        problems.extend(validate_spec(spec.child))
-    elif isinstance(spec, ForallSubseq):
-        if spec.window < 1:
-            problems.append(f"forall_subseq window must be >= 1, got {spec.window}")
-        problems.extend(validate_spec(spec.child))
-    elif isinstance(spec, StateSpecific):
-        problems.extend(validate_spec(spec.child))
-    else:
-        problems.append(f"unknown constraint form: {spec!r}")
-    return problems
-
-
-def _require_valid(spec) -> None:
-    problems = validate_spec(spec)
-    if problems:
-        raise ValueError("; ".join(problems))
+    """Structural checks for one constraint: the first fault found, or an
+    empty list when the spec compiles."""
+    try:
+        _checker(spec)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
 
 
 def project_to_state(update: StateUpdate) -> StateUpdate:
@@ -215,7 +195,6 @@ def project_to_state(update: StateUpdate) -> StateUpdate:
 
 def init_store(spec: ConstraintSpec):
     """Empty-history checker state for one constraint."""
-    _require_valid(spec)
     return _checker(spec).init
 
 
@@ -243,10 +222,19 @@ def _checker(spec) -> _Checker:
         raise ValueError(f"unknown constraint form: {spec!r}") from None
 
 
+def _int_field(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _compile(spec) -> _Checker:
-    """The incremental definition of each constraint form."""
+    """Each constraint form: its field checks (its own before its child's),
+    initial store and step."""
     if isinstance(spec, Cardinality):
-        patterns, bound = spec.patterns, spec.max_count
+        patterns, bound = spec.patterns, _int_field(spec.max_count, "cardinality bound")
+        if bound < 0:
+            raise ValueError(f"cardinality bound {bound} is negative")
 
         def cardinality(count, update):
             if any(p.matches(update) for p in patterns):
@@ -283,7 +271,12 @@ def _compile(spec) -> _Checker:
 
         return _Checker((), lock_to_set)
     if isinstance(spec, ForRange):
-        first, last = spec.first, spec.last
+        first = _int_field(spec.first, "for_range first")
+        last = _int_field(spec.last, "for_range last")
+        if not 1 <= first <= last:
+            raise ValueError(
+                f"for_range requires 1 <= first <= last, got ({first}, {last})"
+            )
         child_init, child_step = _checker(spec.child)
 
         def for_range(store, update):
@@ -296,7 +289,10 @@ def _compile(spec) -> _Checker:
 
         return _Checker((1, child_init), for_range)
     if isinstance(spec, ForallSubseq):
-        full = spec.window - 1
+        window = _int_field(spec.window, "forall_subseq window")
+        if window < 1:
+            raise ValueError(f"forall_subseq window must be >= 1, got {window}")
+        full = window - 1
         child_init, child_step = _checker(spec.child)
 
         def forall_subseq(windows, update):
@@ -382,8 +378,6 @@ def init_aggregate(specs: Sequence[ConstraintSpec]) -> tuple:
     serializations are byte-identical, and equal aggregates accept/reject any
     future update suffix identically.
     """
-    for spec in specs:
-        _require_valid(spec)
     return tuple(_checker(spec).init for spec in specs)
 
 
@@ -430,7 +424,7 @@ def parse_constraint(text: str) -> ConstraintSpec:
     parser = _Parser(text)
     spec = parser.parse_spec()
     parser.expect_end()
-    _require_valid(spec)
+    _checker(spec)
     return spec
 
 

@@ -62,13 +62,18 @@ from .hmm import NEG_INF, Hmm, Run, run_log_probability, validate_model
 
 @dataclass(frozen=True)
 class Chmm:
-    """An HMM together with its declared side-constraints."""
+    """An HMM together with its declared side-constraints, validated when
+    built (``ValueError("invalid model: ...")``). The HMM and the specs are
+    frozen, so the decoders do not check the model again."""
 
     hmm: Hmm
     constraints: tuple[ConstraintSpec, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        problems = validate_chmm(self)
+        if problems:
+            raise ValueError("invalid model: " + "; ".join(problems))
 
 
 def validate_chmm(chmm: Chmm) -> list[str]:
@@ -97,12 +102,6 @@ class DecodeStats:
     peak_entries: int = 0
     stores: int = 0
     checks: int = 0
-
-
-def _require_valid(chmm: Chmm) -> None:
-    problems = validate_chmm(chmm)
-    if problems:
-        raise ValueError("invalid model: " + "; ".join(problems))
 
 
 class _StoreAutomaton:
@@ -258,9 +257,9 @@ def constrained_viterbi(
     ``check_constraints`` without the automaton's cached arcs. It is only
     tractable on small instances and exists to measure what the use of store
     equality buys: acceptance criterion 6 asks the default search to be at
-    least 10x faster than this undeduplicated one.
+    least 10x faster than this undeduplicated one. ``Chmm`` validated the
+    model when it was built; only the observation is checked here.
     """
-    _require_valid(chmm)
     hmm = chmm.hmm
     try:
         obs = [hmm.symbol_index[e] for e in observation]
@@ -301,7 +300,6 @@ def brute_force_constrained(
     Independent of the incremental machinery on purpose; intended for small
     instances only (roughly states <= 5 and observations of length <= 10).
     """
-    _require_valid(chmm)
     hmm = chmm.hmm
     specs = chmm.constraints
     for e in observation:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from .constraints import ConstraintSpec, ConstraintSyntaxError, parse_constraint
+from .constraints import ConstraintSpec, parse_constraint
 from .hmm import Hmm, validate_model
 from .pairhmm import PairHmmParams, validate_pair_params
 
@@ -222,13 +222,14 @@ def format_model(model: Model) -> str:
 
 
 def parse_constraints_text(text: str) -> list[ConstraintSpec]:
-    """One constraint per significant line, in functional syntax."""
+    """One constraint per significant line, in functional syntax; every
+    error names its line."""
     specs = []
     for lineno, line in _significant_lines(text):
         try:
             specs.append(parse_constraint(line))
-        except ConstraintSyntaxError as exc:
-            raise ConstraintSyntaxError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     return specs
 
 

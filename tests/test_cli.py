@@ -80,6 +80,16 @@ class TestDecode:
         assert code == EXIT_ERROR
         assert err == "error: line 1: constraint nests deeper than 64 levels\n"
 
+    def test_invalid_constraint_reports_its_line(self, model_file, tmp_path, capsys):
+        cons = tmp_path / "cons.txt"
+        cons.write_text("alldiff\nfor_range(5,2,alldiff)\n")
+        code = main(
+            ["decode", "--model", model_file, "--constraints", str(cons), "--obs", "a"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == "error: line 2: for_range requires 1 <= first <= last, got (5, 2)\n"
+
     def test_missing_model_file(self, capsys):
         code = main(["decode", "--model", "/nonexistent", "--obs", "a"])
         assert code == EXIT_ERROR

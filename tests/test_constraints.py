@@ -88,6 +88,12 @@ class TestInitStore:
             init_store(ForRange(3, 2, AllDiff()))
         with pytest.raises(ValueError, match="window"):
             init_store(ForallSubseq(0, AllDiff()))
+        with pytest.raises(ValueError, match="window"):
+            init_store(ForallSubseq(2.5, AllDiff()))
+        with pytest.raises(ValueError, match="for_range"):
+            init_store(ForRange(1.5, 3, AllDiff()))
+        with pytest.raises(ValueError, match="window"):
+            init_store(ForallSubseq(True, AllDiff()))
 
 
 class TestCheckSat:
@@ -320,6 +326,13 @@ class TestParsing:
     def test_validate_spec_reports_nested_problems(self):
         spec = StateSpecific(ForallSubseq(3, Cardinality(("x",), -2)))
         assert validate_spec(spec) != []
+
+    def test_validate_spec_reports_the_first_fault(self):
+        spec = ForRange(5, 2, ForallSubseq(0, AllDiff()))
+        assert validate_spec(spec) == [
+            "for_range requires 1 <= first <= last, got (5, 2)"
+        ]
+        assert validate_spec(ForRange(1, 2, AllDiff())) == []
 
 
 class TestProjectionQuirks:

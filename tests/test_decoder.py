@@ -12,6 +12,7 @@ from chmm import (
     Cardinality,
     Chmm,
     DecodeStats,
+    ForallSubseq,
     Hmm,
     LockToSet,
     Run,
@@ -84,6 +85,13 @@ class TestInitTuples:
     def test_malformed_constraint_raises(self):
         with pytest.raises(ValueError, match="constraint 0"):
             constrained_viterbi(Chmm(HMM_A, (Cardinality(("x",), -1),)), [])
+
+    def test_invalid_model_raises_when_built(self):
+        bad = Hmm(("s0", "s1"), ("a",), ((0.5,), (1.0,)), ((1.0,),))
+        with pytest.raises(ValueError, match="invalid model"):
+            Chmm(bad, ())
+        with pytest.raises(ValueError, match="invalid model: constraint 0"):
+            Chmm(HMM_A, (ForallSubseq(2.5, AllDiff()),))
 
 
 class TestExpandStep:

@@ -181,12 +181,18 @@ class TestAlign:
             Cardinality(("insert",), -1),
             ForRange(3, 2, AllDiff()),
             ForallSubseq(0, AllDiff()),
+            ForallSubseq(2.5, AllDiff()),
+            ForRange(1.5, 3, AllDiff()),
+            ForallSubseq(True, AllDiff()),
         ],
     )
     def test_invalid_constraint_on_a_hand_built_model_raises(self, spec):
         # PairChmm validates nothing itself; align must not decode an
         # invalid constraint as written.
         model = PairChmm(uniform_pair_params(("A", "C")), (spec,))
+        with pytest.raises(ValueError):
+            align(model, "ACCA", "ACA")
+        # A failed compile is not kept: the second call checks again.
         with pytest.raises(ValueError):
             align(model, "ACCA", "ACA")
 
