@@ -236,12 +236,8 @@ def ablation_observation(length: int) -> tuple[str, ...]:
     return tuple("ab"[i % 2] for i in range(length))
 
 
-def prune_ablation(
-    seed: int = DEFAULT_SEED,
-    reps: int = DEFAULT_REPS,
-    lengths=ABLATION_LENGTHS,
-) -> list[BenchRow]:
-    del seed  # inputs are fixed; kept for a uniform experiment signature
+def prune_ablation(reps: int = DEFAULT_REPS, lengths=ABLATION_LENGTHS) -> list[BenchRow]:
+    # The inputs are fixed, so the experiment takes no seed.
     chmm = Chmm(ablation_model(), (AllDiff(),))
     rows: list[BenchRow] = []
     unpruned_over_cap = False
@@ -286,7 +282,7 @@ def run_experiment(name: str, seed: int = DEFAULT_SEED, reps: int = DEFAULT_REPS
     if name == "budget-scaling":
         return budget_scaling(seed, reps, **kw)
     if name == "prune-ablation":
-        return prune_ablation(seed, reps, **kw)
+        return prune_ablation(reps, **kw)
     raise ValueError(f"unknown experiment {name!r} (choose from {', '.join(EXPERIMENTS)})")
 
 

@@ -22,13 +22,20 @@ Stores are immutable canonical values built from ints, strings, tuples and
 ``None``: equal histories produce identical stores, equal stores serialize
 identically, and equal stores behave identically on any future updates. That
 last property is what lets a decoder merge partial paths that reach the same
-store.
+store. A store holds nothing that follows from the history's length: a
+``forall_subseq`` store is the tuple of its open windows' child stores, oldest
+first, and each window's fill follows from its place in that tuple.
+
+The textual syntax, e.g. ``state_specific(cardinality([insert,delete],4))``,
+is one table, ``_SYNTAX``: each form's name, its class and the kinds of its
+fields in field order. ``parse_constraint`` and ``format_constraint`` both
+read it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -296,25 +303,20 @@ def _compile(spec) -> _Checker:
         child_init, child_step = _checker(spec.child)
 
         def forall_subseq(windows, update):
-            # The store holds the open windows, oldest first, as (updates
-            # consumed, child store or None once violated). A violated
-            # window must not reject before completing, because the run may
-            # end first and partial windows are unchecked.
-            kept = []
-            for consumed, child in windows:
-                if child is not None:
-                    child = child_step(child, update)
-                if consumed == full:
-                    if child is None:
-                        return None
-                    continue
-                kept.append((consumed + 1, child))
-            # The window this update opens; with window 1 it is full at once.
-            child = child_step(child_init, update)
-            if full:
-                kept.append((1, child))
-            elif child is None:
-                return None
+            # The store holds the child stores of the open windows, oldest
+            # first, with None for a violated one; how many updates each has
+            # consumed follows from its place. A violated window must not
+            # reject before completing, because the run may end first and
+            # partial windows are unchecked. After h updates min(h, window-1)
+            # windows are open, so the oldest completes when all are open.
+            if not full:
+                return windows if child_step(child_init, update) is not None else None
+            if len(windows) == full:
+                oldest, windows = windows[0], windows[1:]
+                if oldest is None or child_step(oldest, update) is None:
+                    return None
+            kept = [None if child is None else child_step(child, update) for child in windows]
+            kept.append(child_step(child_init, update))
             return tuple(kept)
 
         return _Checker((), forall_subseq)
@@ -415,6 +417,21 @@ class ConstraintSyntaxError(ValueError):
 MAX_NESTING_DEPTH = 64
 
 
+# Each form's name, class and the kinds of its fields in field order: a
+# pattern list, an int or a child spec. The parser reads its fields from this
+# table and format_constraint prints them from it.
+_SYNTAX = {
+    "cardinality": (Cardinality, ("patterns", "int")),
+    "alldiff": (AllDiff, ()),
+    "lock_to_sequence": (LockToSequence, ("patterns",)),
+    "lock_to_set": (LockToSet, ("patterns",)),
+    "for_range": (ForRange, ("int", "int", "spec")),
+    "forall_subseq": (ForallSubseq, ("int", "spec")),
+    "state_specific": (StateSpecific, ("spec",)),
+}
+_NAMES = {form: name for name, (form, _kinds) in _SYNTAX.items()}
+
+
 def parse_constraint(text: str) -> ConstraintSpec:
     """Parse one constraint written in functional syntax.
 
@@ -486,50 +503,25 @@ class _Parser:
                 f"constraint nests deeper than {MAX_NESTING_DEPTH} levels"
             )
         name = self.take()
-        if name == "alldiff":
-            if self.peek() == "(":
-                self.take()
-                self.expect(")")
-            return AllDiff()
-        if name == "cardinality":
+        try:
+            form, kinds = _SYNTAX[name]
+        except KeyError:
+            raise ConstraintSyntaxError(f"unknown constraint name {name!r}") from None
+        values = []
+        # Only a form without fields may omit its parentheses: alldiff, alldiff().
+        if kinds or self.peek() == "(":
             self.expect("(")
-            patterns = self.parse_pattern_list()
-            self.expect(",")
-            bound = self.parse_int()
+            for i, kind in enumerate(kinds):
+                if i:
+                    self.expect(",")
+                if kind == "patterns":
+                    values.append(self.parse_pattern_list())
+                elif kind == "int":
+                    values.append(self.parse_int())
+                else:
+                    values.append(self.parse_spec(depth + 1))
             self.expect(")")
-            return Cardinality(patterns, bound)
-        if name == "lock_to_sequence":
-            self.expect("(")
-            patterns = self.parse_pattern_list()
-            self.expect(")")
-            return LockToSequence(patterns)
-        if name == "lock_to_set":
-            self.expect("(")
-            patterns = self.parse_pattern_list()
-            self.expect(")")
-            return LockToSet(patterns)
-        if name == "for_range":
-            self.expect("(")
-            first = self.parse_int()
-            self.expect(",")
-            last = self.parse_int()
-            self.expect(",")
-            child = self.parse_spec(depth + 1)
-            self.expect(")")
-            return ForRange(first, last, child)
-        if name == "forall_subseq":
-            self.expect("(")
-            window = self.parse_int()
-            self.expect(",")
-            child = self.parse_spec(depth + 1)
-            self.expect(")")
-            return ForallSubseq(window, child)
-        if name == "state_specific":
-            self.expect("(")
-            child = self.parse_spec(depth + 1)
-            self.expect(")")
-            return StateSpecific(child)
-        raise ConstraintSyntaxError(f"unknown constraint name {name!r}")
+        return form(*values)
 
     def parse_pattern_list(self) -> tuple[UpdatePattern, ...]:
         self.expect("[")
@@ -582,21 +574,19 @@ def format_pattern(pattern: UpdatePattern) -> str:
 
 def format_constraint(spec: ConstraintSpec) -> str:
     """Render a constraint back into the functional syntax."""
-    if isinstance(spec, Cardinality):
-        pats = ",".join(format_pattern(p) for p in spec.patterns)
-        return f"cardinality([{pats}],{spec.max_count})"
-    if isinstance(spec, AllDiff):
-        return "alldiff"
-    if isinstance(spec, LockToSequence):
-        pats = ",".join(format_pattern(p) for p in spec.sequence)
-        return f"lock_to_sequence([{pats}])"
-    if isinstance(spec, LockToSet):
-        pats = ",".join(format_pattern(p) for p in spec.allowed)
-        return f"lock_to_set([{pats}])"
-    if isinstance(spec, ForRange):
-        return f"for_range({spec.first},{spec.last},{format_constraint(spec.child)})"
-    if isinstance(spec, ForallSubseq):
-        return f"forall_subseq({spec.window},{format_constraint(spec.child)})"
-    if isinstance(spec, StateSpecific):
-        return f"state_specific({format_constraint(spec.child)})"
-    raise ValueError(f"unknown constraint form: {spec!r}")
+    name = _NAMES.get(type(spec))
+    if name is None:
+        raise ValueError(f"unknown constraint form: {spec!r}")
+    kinds = _SYNTAX[name][1]
+    if not kinds:
+        return name
+    parts = []
+    for kind, field in zip(kinds, fields(spec)):
+        value = getattr(spec, field.name)
+        if kind == "patterns":
+            parts.append("[" + ",".join(format_pattern(p) for p in value) + "]")
+        elif kind == "int":
+            parts.append(str(value))
+        else:
+            parts.append(format_constraint(value))
+    return f"{name}({','.join(parts)})"

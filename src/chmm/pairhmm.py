@@ -65,6 +65,39 @@ class PairHmmParams:
             self, "gap_emission", tuple(float(p) for p in self.gap_emission)
         )
 
+    @cached_property
+    def transition_log(self) -> dict[tuple[str, str], float]:
+        """Log-probabilities of the positive transitions only."""
+        go, ge = self.gap_open, self.gap_extend
+        rows = {
+            "begin": (1.0 - 2 * go, go, go),
+            "match": (1.0 - 2 * go, go, go),
+            "insert": (1.0 - ge, ge, 0.0),
+            "delete": (1.0 - ge, 0.0, ge),
+        }
+        out: dict[tuple[str, str], float] = {}
+        for src, row in rows.items():
+            for dst, prob in zip(("match", "insert", "delete"), row):
+                if prob > 0.0:
+                    out[(src, dst)] = math.log(prob)
+        return out
+
+    @cached_property
+    def match_log(self) -> dict[tuple[str, str], float]:
+        out: dict[tuple[str, str], float] = {}
+        for i, a in enumerate(self.alphabet):
+            for j, b in enumerate(self.alphabet):
+                q = self.match_emission[i][j]
+                if q > 0.0:
+                    out[(a, b)] = math.log(q)
+        return out
+
+    @cached_property
+    def gap_log(self) -> dict[str, float]:
+        return {
+            a: math.log(q) for a, q in zip(self.alphabet, self.gap_emission) if q > 0.0
+        }
+
 
 def uniform_pair_params(
     alphabet: Sequence[str] = AMINO_ACIDS,
@@ -122,59 +155,25 @@ def validate_pair_params(params: PairHmmParams) -> list[str]:
 
 @dataclass(frozen=True)
 class PairChmm:
-    """A validated pair HMM plus its declared side-constraints."""
+    """A pair HMM plus its declared side-constraints, validated when built
+    (``ValueError("invalid pair model: ...")``)."""
 
     params: PairHmmParams
     constraints: tuple[ConstraintSpec, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-
-    @cached_property
-    def transition_log(self) -> dict[tuple[str, str], float]:
-        """Log-probabilities of the positive transitions only."""
-        p = self.params
-        rows = {
-            "begin": (1.0 - 2 * p.gap_open, p.gap_open, p.gap_open),
-            "match": (1.0 - 2 * p.gap_open, p.gap_open, p.gap_open),
-            "insert": (1.0 - p.gap_extend, p.gap_extend, 0.0),
-            "delete": (1.0 - p.gap_extend, 0.0, p.gap_extend),
-        }
-        out: dict[tuple[str, str], float] = {}
-        for src, row in rows.items():
-            for dst, prob in zip(("match", "insert", "delete"), row):
-                if prob > 0.0:
-                    out[(src, dst)] = math.log(prob)
-        return out
-
-    @cached_property
-    def match_log(self) -> dict[tuple[str, str], float]:
-        p = self.params
-        out: dict[tuple[str, str], float] = {}
-        for i, a in enumerate(p.alphabet):
-            for j, b in enumerate(p.alphabet):
-                q = p.match_emission[i][j]
-                if q > 0.0:
-                    out[(a, b)] = math.log(q)
-        return out
-
-    @cached_property
-    def gap_log(self) -> dict[str, float]:
-        p = self.params
-        return {
-            a: math.log(q) for a, q in zip(p.alphabet, p.gap_emission) if q > 0.0
-        }
+        problems = validate_pair_params(self.params)
+        for i, spec in enumerate(self.constraints):
+            problems.extend(f"constraint {i}: {p}" for p in validate_spec(spec))
+        if problems:
+            raise ValueError("invalid pair model: " + "; ".join(problems))
 
 
 def build_pair_chmm(
     params: PairHmmParams, constraints: Sequence[ConstraintSpec] = ()
 ) -> PairChmm:
-    """Validate parameters and constraints and assemble a decodable model."""
-    problems = validate_pair_params(params)
-    for i, spec in enumerate(constraints):
-        problems.extend(f"constraint {i}: {p}" for p in validate_spec(spec))
-    if problems:
-        raise ValueError("invalid pair model: " + "; ".join(problems))
+    """Assemble a decodable model; ``PairChmm`` validates it."""
     return PairChmm(params, tuple(constraints))
 
 
@@ -279,13 +278,13 @@ def alignment_log_probability(
     total = 0.0
     prev = "begin"
     for update in history:
-        lt = model.transition_log.get((prev, update.state))
+        lt = model.params.transition_log.get((prev, update.state))
         if lt is None:
             return NEG_INF
         if update.state == "match":
-            le = model.match_log.get((update.emitted[0], update.emitted[1]))
+            le = model.params.match_log.get((update.emitted[0], update.emitted[1]))
         else:
-            le = model.gap_log.get(update.emitted[0])
+            le = model.params.gap_log.get(update.emitted[0])
         if le is None:
             return NEG_INF
         total += lt
@@ -319,9 +318,10 @@ def align(
     x = tuple(x)
     y = tuple(y)
     nx, ny = len(x), len(y)
-    trans = [[model.transition_log.get((a, b)) for b in PAIR_STATES] for a in PAIR_STATES]
-    mlog = model.match_log
-    glog = model.gap_log
+    params = model.params
+    trans = [[params.transition_log.get((a, b)) for b in PAIR_STATES] for a in PAIR_STATES]
+    mlog = params.match_log
+    glog = params.gap_log
     match, insert, delete = 1, 2, 3  # indexes into PAIR_STATES
     # Every cell that emits the same symbol pair (match) or symbol (insert,
     # delete) shares one move, so no cell allocates an update.
@@ -386,14 +386,13 @@ def align_plain(
     reference for the empty-constraint case, it stays apart from the
     decoder's lattice kernel on purpose.
     """
-    model = PairChmm(params, ())
     _check_symbols(params.alphabet, x, y)
     x = tuple(x)
     y = tuple(y)
     nx, ny = len(x), len(y)
-    trans = model.transition_log
-    mlog = model.match_log
-    glog = model.gap_log
+    trans = params.transition_log
+    mlog = params.match_log
+    glog = params.gap_log
     names = PAIR_STATES[1:]  # state s is names[s]: 0 match, 1 insert, 2 delete
     # into[t] holds (s, log transition s -> t) for each existing transition;
     # begin shares match's row, so it is the match score of cell (0, 0).
@@ -470,9 +469,9 @@ def brute_force_align(
     y = tuple(y)
     nx, ny = len(x), len(y)
     specs = model.constraints
-    trans = model.transition_log
-    mlog = model.match_log
-    glog = model.gap_log
+    trans = model.params.transition_log
+    mlog = model.params.match_log
+    glog = model.params.gap_log
     best: Optional[Alignment] = None
 
     def leaf(ops: list[tuple], lp: float, history: list[StateUpdate]) -> None:

@@ -44,16 +44,11 @@ def _random_row(rng: random.Random, width: int, zero_fraction: float) -> tuple[f
     return tuple(w / total for w in weights)
 
 
-def random_hmm(
-    rng: random.Random,
-    max_states: int = 4,
-    max_symbols: int = 3,
-    zero_fraction: float = 0.25,
-) -> Hmm:
-    """A small random model; some entries are zeroed to exercise structurally
-    absent edges."""
-    m = rng.randint(1, max_states - 1)
-    k = rng.randint(1, max_symbols)
+def random_hmm(rng: random.Random, zero_fraction: float = 0.25) -> Hmm:
+    """A small random model of 1-3 emitting states over 1-3 symbols; some
+    entries are zeroed to exercise structurally absent edges."""
+    m = rng.randint(1, 3)
+    k = rng.randint(1, 3)
     states = ("s0",) + tuple(f"s{i}" for i in range(1, m + 1))
     alphabet = tuple("abc"[:k])
     transitions = tuple(_random_row(rng, m, zero_fraction) for _ in range(m + 1))
@@ -127,19 +122,17 @@ def random_constraint_set(
     states: Sequence[str],
     symbols: Sequence[str],
     n: int,
-    max_constraints: int = 2,
     emit_arity: int = 1,
 ) -> tuple[ConstraintSpec, ...]:
+    """Zero to two constraints from ``random_spec``."""
     return tuple(
         random_spec(rng, states, symbols, n, emit_arity=emit_arity)
-        for _ in range(rng.randint(0, max_constraints))
+        for _ in range(rng.randint(0, 2))
     )
 
 
-def random_chmm_instance(
-    rng: random.Random, max_states: int = 4, max_symbols: int = 3, max_len: int = 8
-) -> tuple[Chmm, tuple[str, ...]]:
-    hmm = random_hmm(rng, max_states, max_symbols)
+def random_chmm_instance(rng: random.Random, max_len: int = 8) -> tuple[Chmm, tuple[str, ...]]:
+    hmm = random_hmm(rng)
     obs = random_observation(rng, hmm, max_len)
     constraints = random_constraint_set(rng, hmm.states[1:], hmm.alphabet, len(obs))
     return Chmm(hmm, constraints), obs
@@ -154,8 +147,9 @@ def random_update_sequence(
     ]
 
 
-def random_pair_params(rng: random.Random, max_symbols: int = 4) -> PairHmmParams:
-    k = rng.randint(2, max_symbols)
+def random_pair_params(rng: random.Random) -> PairHmmParams:
+    """Random valid parameters over 2-4 symbols."""
+    k = rng.randint(2, 4)
     alphabet = tuple("abcd"[:k])
     match_flat = _random_row(rng, k * k, zero_fraction=0.1)
     return PairHmmParams(
@@ -227,17 +221,15 @@ def oracle_check(
     seed: int,
     count: int,
     decode: Callable = constrained_viterbi,
-    max_states: int = 4,
-    max_symbols: int = 3,
-    max_len: int = 8,
 ) -> OracleReport:
-    """Run ``count`` random instances through ``check_one_instance``."""
+    """Run ``count`` random instances of up to 8 observations through
+    ``check_one_instance``."""
     if count < 0:
         raise ValueError(f"instance count must be non-negative, got {count}")
     rng = random.Random(seed)
     report = OracleReport()
     for _ in range(count):
-        chmm, obs = random_chmm_instance(rng, max_states, max_symbols, max_len)
+        chmm, obs = random_chmm_instance(rng)
         report.total += 1
         failure = check_one_instance(chmm, obs, decode)
         if failure is None:

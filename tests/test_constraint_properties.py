@@ -167,3 +167,16 @@ def test_for_range_slices_the_history(updates, first, span):
     window = updates[first - 1 : first + span]
     expected = len(set(window)) == len(window)
     assert incremental_accepts(spec, updates) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 8),
+    emit_arity=st.sampled_from((1, 2)),
+)
+def test_formatting_then_parsing_gives_the_same_spec(seed, n, emit_arity):
+    from chmm import format_constraint, parse_constraint
+
+    spec = random_spec(random.Random(seed), STATES, SYMBOLS, n, emit_arity=emit_arity)
+    assert parse_constraint(format_constraint(spec)) == spec

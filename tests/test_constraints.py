@@ -179,6 +179,19 @@ class TestCheckSat:
             store = check_sat(spec, upd(f"u{i}", "a"), store)
             assert len(store) <= 2
 
+    def test_forall_subseq_store_is_the_open_windows_child_stores(self):
+        # After h updates the store holds min(h, window - 1) child stores,
+        # oldest window first, and None for a violated window.
+        spec = ForallSubseq(3, Cardinality(("x",), 1))
+        stores = [init_store(spec)]
+        for u in [upd("x", "a"), upd("y", "a"), upd("y", "a"), upd("x", "a")]:
+            stores.append(check_sat(spec, u, stores[-1]))
+        assert stores == [(), (1,), (1, 0), (0, 0), (1, 1)]
+        violated = feed(spec, [upd("x", "a"), upd("x", "a")])
+        assert violated == (None, 1)
+        assert check_sat(spec, upd("y", "a"), violated) is None
+        assert check_sat(ForallSubseq(1, AllDiff()), upd("x", "a"), ()) == ()
+
 
 class TestAggregate:
     def test_empty_aggregate(self):
@@ -289,6 +302,12 @@ class TestParsing:
         spec = parse_constraint(text)
         assert format_constraint(spec) == text
         assert parse_constraint(format_constraint(spec)) == spec
+
+    def test_alldiff_parses_with_or_without_parentheses(self):
+        assert parse_constraint("alldiff()") == parse_constraint("alldiff") == AllDiff()
+        assert parse_constraint("forall_subseq(2,alldiff())") == ForallSubseq(2, AllDiff())
+        with pytest.raises(ConstraintSyntaxError, match="expected '\\)', got 'x'"):
+            parse_constraint("alldiff(x)")
 
     def test_whitespace_is_insignificant(self):
         spec = parse_constraint("for_range( 1 , 50 , lock_to_set( [ match ] ) )")

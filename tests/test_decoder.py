@@ -456,6 +456,8 @@ FORM_COUNTERS = [
     (("state_specific(forall_subseq(2,alldiff))",), (45, 21, 25, 4, 21)),
     (("for_range(2,5,lock_to_set([s1,(s3,b)]))",), (41, 22, 20, 9, 24)),
     (("lock_to_sequence([s1,_,(s2,b),s3,_,s2,(_,a),_])",), (26, 10, 17, 9, 24)),
+    (("forall_subseq(3,cardinality([s2,(s3,a)],1))",), (66, 30, 37, 7, 30)),
+    (("forall_subseq(1,lock_to_set([s1,s3]))",), (30, 14, 17, 1, 6)),
     (
         ("cardinality([s2,(s3,a)],2)", "state_specific(forall_subseq(2,alldiff))"),
         (53, 18, 36, 9, 48),

@@ -70,12 +70,13 @@ def identity_favoring_params(alphabet=("A", "B"), gap_open=0.1, gap_extend=0.1):
 class TestBuildPairChmm:
     def test_match_row_arithmetic(self):
         model = build_pair_chmm(uniform_pair_params(("A", "B"), 0.2, 0.3))
-        assert model.transition_log[("match", "match")] == pytest.approx(math.log(0.6))
-        assert model.transition_log[("match", "insert")] == pytest.approx(math.log(0.2))
-        assert model.transition_log[("begin", "delete")] == pytest.approx(math.log(0.2))
-        assert model.transition_log[("insert", "insert")] == pytest.approx(math.log(0.3))
-        assert ("insert", "delete") not in model.transition_log
-        assert ("delete", "insert") not in model.transition_log
+        trans = model.params.transition_log
+        assert trans[("match", "match")] == pytest.approx(math.log(0.6))
+        assert trans[("match", "insert")] == pytest.approx(math.log(0.2))
+        assert trans[("begin", "delete")] == pytest.approx(math.log(0.2))
+        assert trans[("insert", "insert")] == pytest.approx(math.log(0.3))
+        assert ("insert", "delete") not in trans
+        assert ("delete", "insert") not in trans
 
     def test_excessive_gap_open_rejected(self):
         with pytest.raises(ValueError, match="gap_open"):
@@ -92,6 +93,17 @@ class TestBuildPairChmm:
         assert any("match emission" in p for p in validate_pair_params(params))
         with pytest.raises(ValueError):
             build_pair_chmm(params)
+
+    def test_hand_built_model_with_invalid_params_raises(self):
+        params = PairHmmParams(
+            alphabet=("A", "C"),
+            gap_open=0.1,
+            gap_extend=0.1,
+            match_emission=((0.5, 0.5), (0.5, 0.5)),
+            gap_emission=(0.5, 0.5),
+        )
+        with pytest.raises(ValueError, match="invalid pair model: match emission"):
+            PairChmm(params)
 
     def test_zero_indel_budget_admits_only_all_match(self):
         model = build_pair_chmm(
@@ -187,14 +199,12 @@ class TestAlign:
         ],
     )
     def test_invalid_constraint_on_a_hand_built_model_raises(self, spec):
-        # PairChmm validates nothing itself; align must not decode an
-        # invalid constraint as written.
-        model = PairChmm(uniform_pair_params(("A", "C")), (spec,))
+        # A hand-built PairChmm validates its constraints when built.
         with pytest.raises(ValueError):
-            align(model, "ACCA", "ACA")
-        # A failed compile is not kept: the second call checks again.
+            PairChmm(uniform_pair_params(("A", "C")), (spec,))
+        # A failed compile is not kept: a second model checks again.
         with pytest.raises(ValueError):
-            align(model, "ACCA", "ACA")
+            PairChmm(uniform_pair_params(("A", "C")), (spec,))
 
     def test_identity_favoring_params_match_everything(self):
         model = build_pair_chmm(identity_favoring_params())
