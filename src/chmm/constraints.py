@@ -18,13 +18,17 @@ child's compiled step, so stepping a nested constraint never dispatches on
 its form again. A step is a pure function of its arguments, so nothing of one
 decode reaches the next.
 
-Stores are immutable canonical values built from ints, strings, tuples and
-``None``: equal histories produce identical stores, equal stores serialize
-identically, and equal stores behave identically on any future updates. That
-last property is what lets a decoder merge partial paths that reach the same
-store. A store holds nothing that follows from the history's length: a
-``forall_subseq`` store is the tuple of its open windows' child stores, oldest
-first, and each window's fill follows from its place in that tuple.
+Stores are immutable values built from ints, tuples and ``None``, canonical
+within one process: equal histories produce identical stores, equal stores
+serialize identically, and equal stores behave identically on any future
+updates. That last property is what lets a decoder merge partial paths that
+reach the same store. An ``alldiff`` store is an int with one bit per update
+seen. Every checker takes the bits from one process-wide numbering, which
+grows by one bit per distinct update the process sees, so a store means the
+same to every spec in the process but not to another process. A store holds
+nothing that follows from the history's length: a ``forall_subseq`` store is
+the tuple of its open windows' child stores, oldest first, and each window's
+fill follows from its place in that tuple.
 
 The textual syntax, e.g. ``state_specific(cardinality([insert,delete],4))``,
 is one table, ``_SYNTAX``: each form's name, its class and the kinds of its
@@ -34,12 +38,16 @@ read it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import count
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 WILDCARD = "_"
+# The bit of each update that any alldiff checker has seen. One table for the
+# process, so that equal specs agree on each other's stores.
+_UPDATE_BITS: dict = {}
+_BIT_NUMBERS = count()
 
 
 class StateUpdate(NamedTuple):
@@ -253,13 +261,15 @@ def _compile(spec) -> _Checker:
     if isinstance(spec, AllDiff):
 
         def alldiff(seen, update):
-            # seen is the sorted tuple of updates so far
-            i = bisect_left(seen, update)
-            if i < len(seen) and seen[i] == update:
-                return None
-            return seen[:i] + (update,) + seen[i:]
+            # seen has the bits of the updates so far
+            bit = _UPDATE_BITS.get(update)
+            if bit is None:
+                # setdefault and next() each run under the interpreter lock, so
+                # threads racing on a new update all get the bit that was stored.
+                bit = _UPDATE_BITS.setdefault(update, 1 << next(_BIT_NUMBERS))
+            return None if seen & bit else seen | bit
 
-        return _Checker((), alldiff)
+        return _Checker(0, alldiff)
     if isinstance(spec, LockToSequence):
         sequence = spec.sequence
         size = len(sequence)
@@ -362,12 +372,13 @@ def declarative_satisfies(spec: ConstraintSpec, history: Sequence[StateUpdate]) 
 
 def _canon(value) -> str:
     # Canonical text of a store component; the property tests use it to
-    # check that equal stores serialize identically.
+    # check that equal stores serialize identically and that no store holds
+    # an update (its strings raise here).
     if value is None:
         return "-"
     if isinstance(value, tuple):
         return "(" + ",".join(_canon(v) for v in value) + ")"
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    if isinstance(value, int) and not isinstance(value, bool):
         return repr(value)
     raise TypeError(f"non-canonical store component: {value!r}")
 

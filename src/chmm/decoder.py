@@ -18,11 +18,12 @@ nothing but the store and the update. ``_StoreAutomaton`` builds that
 automaton lazily (Pesant's ``regular`` constraint, CP 2004, built on demand).
 Stores are interned as small integer ids, id 0 being the initial store, and
 each id carries a dict from update to the next id, or -1 for a rejection.
-Only a missing arc calls ``check_constraints``, so each distinct (store,
-update) pair is checked once per decode, and table keys are (state, id)
-integers instead of nested store tuples. The automaton is exact because an
-arc is only ever a recorded ``check_constraints`` result. With
-``prune=False`` every candidate goes through ``check_constraints`` again, so
+The kernel looks each arc up once, and a miss calls ``_StoreAutomaton.check``
+(``check_constraints``, then interning) and records the arc. So each distinct
+(store, update) pair is checked once per decode, and table keys are (state,
+id) integers instead of nested store tuples. The automaton is exact because
+an arc is only ever a recorded ``check_constraints`` result. With
+``prune=False`` no arc is recorded and every candidate is checked again, so
 that search stays the undeduplicated baseline.
 
 The lattice arrives in layers (one per HMM level or alignment
@@ -109,7 +110,7 @@ class _StoreAutomaton:
 
     ``stores[i]`` is the store with id i (0 is the initial store), ``ids``
     the reverse map, and ``arcs[i]`` maps an update to the id it leads to
-    from store i, or -1 where a checker rejects it.
+    from store i, or -1 where a checker rejects it; the kernel records them.
     """
 
     def __init__(self, specs):
@@ -122,7 +123,8 @@ class _StoreAutomaton:
 
     def check(self, sid: int, update: StateUpdate) -> int:
         """Id of the store ``update`` leads to from store ``sid``, or -1,
-        computed by ``check_constraints`` without consulting the arcs."""
+        computed by ``check_constraints`` without consulting or recording
+        the arcs."""
         self.checks += 1
         store = check_constraints(self.specs, update, self.stores[sid])
         if store is None:
@@ -132,15 +134,6 @@ class _StoreAutomaton:
             nid = self.ids[store] = len(self.stores)
             self.stores.append(store)
             self.arcs.append({})
-        return nid
-
-    def step(self, sid: int, update: StateUpdate) -> int:
-        """``check`` through the arcs: each (store, update) pair is checked
-        once."""
-        arc = self.arcs[sid]
-        nid = arc.get(update)
-        if nid is None:
-            nid = arc[update] = self.check(sid, update)
         return nid
 
 
@@ -162,8 +155,7 @@ def _lattice_viterbi(specs, trans_log, source, lattice, sink, prune, stats):
     """
     automaton = _StoreAutomaton(specs)
     arcs = automaton.arcs
-    # ``check`` records no arcs, so with prune=False every lookup misses.
-    step = automaton.step if prune else automaton.check
+    check = automaton.check
     width = len(trans_log)
     # A table maps a key to (log_prob, state, store id, parent entry); the
     # key of state t with store id i is i * width + t.
@@ -190,7 +182,9 @@ def _lattice_viterbi(specs, trans_log, source, lattice, sink, prune, stats):
                             continue
                         nid = arc.get(update)
                         if nid is None:
-                            nid = step(sid, update)
+                            nid = check(sid, update)
+                            if prune:  # else every lookup misses
+                                arc[update] = nid
                         if nid < 0:
                             continue
                         nlp = plp + lt

@@ -7,6 +7,7 @@ reproduced from its fixture dump alone.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -40,7 +41,8 @@ def _random_row(rng: random.Random, width: int, zero_fraction: float) -> tuple[f
             weights[i] = 0.0
     if not any(weights):
         weights[rng.randrange(width)] = rng.random() + 0.1
-    total = sum(weights)
+    # fsum rounds once on every interpreter; sum is compensated from 3.12 only.
+    total = math.fsum(weights)
     return tuple(w / total for w in weights)
 
 

@@ -16,6 +16,8 @@ from chmm import (
     declarative_satisfies,
     init_store,
 )
+# _canon raises on anything but ints, tuples and None, so the tests that call
+# it also check that no store holds an update.
 from chmm.constraints import _canon
 from chmm.random_instances import random_spec, random_update_sequence
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from chmm import (
@@ -73,13 +76,13 @@ class TestInitStore:
         assert init_store(Cardinality(("insert",), 20)) == 0
 
     def test_alldiff_starts_with_empty_seen_set(self):
-        assert init_store(AllDiff()) == ()
+        assert init_store(AllDiff()) == 0
 
     def test_forall_subseq_starts_with_no_windows(self):
         assert init_store(ForallSubseq(5, AllDiff())) == ()
 
     def test_for_range_starts_at_position_one(self):
-        assert init_store(ForRange(1, 3, AllDiff())) == (1, ())
+        assert init_store(ForRange(1, 3, AllDiff())) == (1, 0)
 
     def test_malformed_spec_raises(self):
         with pytest.raises(ValueError, match="negative"):
@@ -199,11 +202,11 @@ class TestAggregate:
 
     def test_component_stores_in_declaration_order(self):
         store = init_aggregate([Cardinality(("i",), 2), AllDiff()])
-        assert store == (0, ())
+        assert store == (0, 0)
 
     def test_nested_aggregate(self):
         store = init_aggregate([ForRange(1, 3, AllDiff())])
-        assert store == ((1, ()),)
+        assert store == ((1, 0),)
 
     def test_empty_conjunction_accepts_everything(self):
         store = init_aggregate([])
@@ -218,7 +221,7 @@ class TestAggregate:
         specs = [AllDiff(), Cardinality(("insert",), 5)]
         store = init_aggregate(specs)
         store = check_constraints(specs, upd("insert", "a"), store)
-        assert store == ((upd("insert", "a"),), 1)
+        assert store == (check_sat(AllDiff(), upd("insert", "a"), 0), 1)
         assert check_constraints(specs, upd("insert", "a"), store) is None
 
     def test_arity_mismatch_raises(self):
@@ -283,6 +286,72 @@ class TestSignature:
         a = feed(spec, [upd("x", "a")])
         b = feed(spec, [upd("x", "a"), upd("x", "a")])
         assert a != b
+
+
+# Updates no other test steps, so each spec numbers them here first.
+SHARED_STREAM = [
+    upd("sh1", "a"),
+    upd("sh2", "a"),
+    upd("sh3", "b"),
+    upd("sh1", "b"),
+    upd("sh4", "a"),
+    upd("sh4", "a"),
+]
+
+
+class TestSharedNumbering:
+    """Equal specs built apart agree on each other's stores, so an
+    ``alldiff`` store means the same to every checker in the process."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: AllDiff(),
+            lambda: ForallSubseq(3, AllDiff()),
+            lambda: StateSpecific(AllDiff()),
+            lambda: parse_constraint("alldiff"),
+            lambda: parse_constraint("forall_subseq(3,alldiff)"),
+            lambda: parse_constraint("state_specific(alldiff)"),
+        ],
+        ids=["alldiff", "forall", "state", "parsed-alldiff", "parsed-forall", "parsed-state"],
+    )
+    def test_alternating_equal_objects_step_like_one(self, make):
+        one, other = make(), make()
+        assert one == other and one is not other
+        alone = alternating = init_store(one)
+        for i, u in enumerate(SHARED_STREAM):
+            alone = check_sat(one, u, alone)
+            alternating = check_sat((one, other)[i % 2], u, alternating)
+            assert alternating == alone, (i, u)
+            if alone is None:
+                break
+        assert alone is None
+
+    def test_threads_numbering_new_updates_agree(self):
+        # Four threads race to number the same 1,000 updates, which no other
+        # test steps. Two bits for one update would give different stores.
+        updates = [upd(f"thread{i}", "a") for i in range(1000)]
+        finals = []
+
+        def run():
+            spec, store = AllDiff(), 0
+            for u in updates:
+                store = check_sat(spec, u, store)
+            finals.append(store)
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(finals) == 4 and len(set(finals)) == 1
+        assert bin(finals[0]).count("1") == len(updates)
 
 
 class TestParsing:
