@@ -370,19 +370,6 @@ def declarative_satisfies(spec: ConstraintSpec, history: Sequence[StateUpdate]) 
     raise ValueError(f"unknown constraint form: {spec!r}")
 
 
-def _canon(value) -> str:
-    # Canonical text of a store component; the property tests use it to
-    # check that equal stores serialize identically and that no store holds
-    # an update (its strings raise here).
-    if value is None:
-        return "-"
-    if isinstance(value, tuple):
-        return "(" + ",".join(_canon(v) for v in value) + ")"
-    if isinstance(value, int) and not isinstance(value, bool):
-        return repr(value)
-    raise TypeError(f"non-canonical store component: {value!r}")
-
-
 def init_aggregate(specs: Sequence[ConstraintSpec]) -> tuple:
     """Initial aggregate store for a list of declared constraints: a tuple of
     per-constraint stores in declaration order.
@@ -467,9 +454,9 @@ class _Parser:
             elif ch in "()[],":
                 self.tokens.append(ch)
                 i += 1
-            elif ch.isdigit():
+            elif "0" <= ch <= "9":  # str.isdigit() admits every Unicode digit
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
                 self.tokens.append(text[i:j])
                 i = j
@@ -504,7 +491,7 @@ class _Parser:
 
     def parse_int(self) -> int:
         tok = self.take()
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise ConstraintSyntaxError(f"expected an integer, got {tok!r}")
         return int(tok)
 
@@ -573,7 +560,7 @@ class _Parser:
 
 
 def _is_name(tok: str) -> bool:
-    return bool(tok) and tok not in "()[]," and not tok[0].isdigit()
+    return bool(tok) and tok not in "()[]," and not "0" <= tok[0] <= "9"
 
 
 def format_pattern(pattern: UpdatePattern) -> str:

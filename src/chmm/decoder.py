@@ -26,9 +26,9 @@ an arc is only ever a recorded ``check_constraints`` result. With
 ``prune=False`` no arc is recorded and every candidate is checked again, so
 that search stays the undeduplicated baseline.
 
-The lattice arrives in layers (one per HMM level or alignment
-anti-diagonal) whose edges reach back at most two layers, so the kernel keeps
-only the tables of the last two layers. The winners of released tables stay
+The caller's lattice holds the tables its later nodes read (the last level
+in ``constrained_viterbi``, the last two anti-diagonals in ``align``) and
+hands them to the kernel with each node. The winners of dropped tables stay
 reachable through the parent references of the entries that extend them;
 everything else is freed as the walk goes.
 
@@ -137,21 +137,22 @@ class _StoreAutomaton:
         return nid
 
 
-def _lattice_viterbi(specs, trans_log, source, lattice, sink, prune, stats):
-    """Best constraint-satisfying path from ``source`` to ``sink``.
+def _lattice_viterbi(specs, trans_log, lattice, prune, stats):
+    """Best constraint-satisfying path through a lattice, source to sink.
 
     ``trans_log[s][t]`` is the log transition probability from state index s
-    to t, or None where the transition is impossible. The source node holds
-    state 0 with the initial stores. ``lattice`` yields the layers after the
-    source in topological order; a layer is a sequence of ``(node, edges)``,
-    each edge ``(predecessor node, moves)`` with the predecessor in one of
-    the two layers before, and each move ``(t, emit_log, update)`` enters
-    state t with emission log-probability ``emit_log`` and constraint update
-    ``update``. Each node keeps one entry per (state, store) key, merged by
-    the tie rule in the module docstring; with ``prune=False`` every
-    candidate gets a key of its own and its own ``check_constraints`` call,
-    so nothing merges and nothing is cached. Returns ``(log_prob, states)``,
-    the states the best path enters after the source, in order, or None.
+    to t, or None where the transition is impossible. The source table holds
+    state 0 with the initial stores. ``lattice(source_table)`` yields the
+    further nodes in topological order as ``(table, edges)``: a fresh dict
+    for the kernel to fill, and edges ``(predecessor's table, moves)``, each
+    move ``(t, emit_log, update)`` entering state t with emission
+    log-probability ``emit_log`` and constraint update ``update``. The last
+    node yielded, or the source if none is, is the sink. Each node keeps one
+    entry per (state, store) key, merged by the tie rule in the module
+    docstring; with ``prune=False`` every candidate gets a key of its own
+    and its own ``check_constraints`` call, so nothing merges and nothing is
+    cached. Returns ``(log_prob, states)``, the states the best path enters
+    after the source, in order, or None.
     """
     automaton = _StoreAutomaton(specs)
     arcs = automaton.arcs
@@ -159,55 +160,41 @@ def _lattice_viterbi(specs, trans_log, source, lattice, sink, prune, stats):
     width = len(trans_log)
     # A table maps a key to (log_prob, state, store id, parent entry); the
     # key of state t with store id i is i * width + t.
-    live = {source: {0: (0.0, 0, 0, None)}}
-    older: list = []
-    last = [source]
+    table = {0: (0.0, 0, 0, None)}
     total = 1
     merges = 0
-    for layer in lattice:
-        done = []
-        for node, edges in layer:
-            table: dict = {}
-            for pred, moves in edges:
-                parents = live.get(pred)
-                if parents is None:
-                    continue
-                for parent in parents.values():
-                    plp, s, sid, _parent = parent
-                    row = trans_log[s]
-                    arc = arcs[sid]
-                    for t, le, update in moves:
-                        lt = row[t]
-                        if lt is None:
-                            continue
-                        nid = arc.get(update)
-                        if nid is None:
-                            nid = check(sid, update)
-                            if prune:  # else every lookup misses
-                                arc[update] = nid
-                        if nid < 0:
-                            continue
-                        nlp = plp + lt
-                        nlp += le
-                        if not prune:
-                            table[len(table)] = (nlp, t, nid, parent)
-                            continue
-                        key = nid * width + t
-                        old = table.get(key)
-                        if old is None:
+    for table, edges in lattice(table):
+        for parents, moves in edges:
+            for parent in parents.values():
+                plp, s, sid, _parent = parent
+                row = trans_log[s]
+                arc = arcs[sid]
+                for t, le, update in moves:
+                    lt = row[t]
+                    if lt is None:
+                        continue
+                    nid = arc.get(update)
+                    if nid is None:
+                        nid = check(sid, update)
+                        if prune:  # else every lookup misses
+                            arc[update] = nid
+                    if nid < 0:
+                        continue
+                    nlp = plp + lt
+                    nlp += le
+                    if not prune:
+                        table[len(table)] = (nlp, t, nid, parent)
+                        continue
+                    key = nid * width + t
+                    old = table.get(key)
+                    if old is None:
+                        table[key] = (nlp, t, nid, parent)
+                    else:
+                        merges += 1
+                        if nlp > old[0]:
+                            del table[key]
                             table[key] = (nlp, t, nid, parent)
-                        else:
-                            merges += 1
-                            if nlp > old[0]:
-                                del table[key]
-                                table[key] = (nlp, t, nid, parent)
-            if table:
-                live[node] = table
-                done.append(node)
-                total += len(table)
-        for node in older:
-            del live[node]
-        older, last = last, done
+        total += len(table)
     if stats:
         # Every accepted expansion stored an entry or merged into one; only
         # the source entry was stored without one.
@@ -217,13 +204,12 @@ def _lattice_viterbi(specs, trans_log, source, lattice, sink, prune, stats):
         stats.stores += len(automaton.stores)
         stats.checks += automaton.checks
 
-    final = live.get(sink)
-    if final is None:
-        return None
     best = None
-    for entry in final.values():
+    for entry in table.values():
         if best is None or entry[0] > best[0]:
             best = entry
+    if best is None:
+        return None
     states = []
     entry = best
     while entry[3] is not None:
@@ -274,10 +260,13 @@ def constrained_viterbi(
         ]
         for e, symbol in enumerate(hmm.alphabet)
     ]
-    lattice = (((k, ((k - 1, moves[e]),)),) for k, e in enumerate(obs, 1))
-    result = _lattice_viterbi(
-        chmm.constraints, trans_log, 0, lattice, len(obs), prune, stats
-    )
+
+    def levels(table):
+        for e in obs:
+            pred, table = table, {}
+            yield table, ((pred, moves[e]),)
+
+    result = _lattice_viterbi(chmm.constraints, trans_log, levels, prune, stats)
     if result is None:
         return None
     log_prob, states = result

@@ -307,7 +307,8 @@ def align(
 
     Runs the decoder's lattice kernel with one node per (consumed x, consumed
     y) cell, processed along anti-diagonals, and one best entry per (state,
-    constraint store) key in each cell. Ties follow the kernel's rule: the
+    constraint store) key in each cell. Only the last two anti-diagonals'
+    tables are held, by i, so predecessors are found by index. Ties follow the kernel's rule: the
     candidate generated first wins, and a cell's candidates are generated
     from its match, insert and delete predecessors in that order. Ties are
     broken where partial alignments merge, so two alignments whose complete
@@ -338,31 +339,33 @@ def align(
         b: ((delete, glog[b], StateUpdate("delete", (b,))),) for b in set(y) if b in glog
     }
 
-    def diagonals():
-        # One layer per anti-diagonal i + j = t; match edges reach back two.
+    def diagonals(source):
+        # The tables of anti-diagonals i + j = t - 2 and t - 1, by i; None
+        # stands where a diagonal has no cell and is never read.
+        before, last = [None] * (nx + 1), [None] * (nx + 1)
+        last[0] = source
         for t in range(1, nx + ny + 1):
-            layer = []
+            row = [None] * (nx + 1)
             for i in range(max(0, t - ny), min(t, nx) + 1):
                 j = t - i
                 edges = []
                 if i >= 1 and j >= 1:
                     moves = match_moves.get((x[i - 1], y[j - 1]))
                     if moves:
-                        edges.append(((i - 1, j - 1), moves))
+                        edges.append((before[i - 1], moves))
                 if i >= 1:
                     moves = insert_moves.get(x[i - 1])
                     if moves:
-                        edges.append(((i - 1, j), moves))
+                        edges.append((last[i - 1], moves))
                 if j >= 1:
                     moves = delete_moves.get(y[j - 1])
                     if moves:
-                        edges.append(((i, j - 1), moves))
-                layer.append(((i, j), edges))
-            yield layer
+                        edges.append((last[i], moves))
+                row[i] = table = {}
+                yield table, edges
+            before, last = last, row
 
-    result = _lattice_viterbi(
-        model.constraints, trans, (0, 0), diagonals(), (nx, ny), True, stats
-    )
+    result = _lattice_viterbi(model.constraints, trans, diagonals, True, stats)
     if result is None:
         return None
     log_prob, states = result

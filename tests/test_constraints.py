@@ -392,6 +392,16 @@ class TestParsing:
         with pytest.raises(ConstraintSyntaxError):
             parse_constraint("for_range(1,alldiff)")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["cardinality([s1],\u0663)", "cardinality([s1],\u00b2)"],
+        ids=["arabic-indic-three", "superscript-two"],
+    )
+    def test_non_ascii_digits_rejected(self, text):
+        # Both are Unicode digits (str.isdigit() is true), not 0-9.
+        with pytest.raises(ConstraintSyntaxError):
+            parse_constraint(text)
+
     def test_malformed_nesting_rejected(self):
         with pytest.raises(ConstraintSyntaxError):
             parse_constraint("state_specific(cardinality([x],1)")

@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -380,6 +381,32 @@ class TestStoreAutomaton:
         assert len(ids) == len(automaton.stores) == len(set(automaton.stores))
         arcs = sum(len(arc) for arc in automaton.arcs)
         assert automaton.checks == arcs
+
+
+class _Table(dict):
+    """A node table the test can watch: dict subclasses take weak references."""
+
+
+class TestFrontierRelease:
+    def test_kernel_keeps_no_table_the_lattice_dropped(self):
+        # A chain of single-state nodes, each reading only the one before,
+        # so the lattice drops a table once the node after it is filled.
+        trans_log = [[None, 0.0], [None, 0.0]]
+        moves = ((1, 0.0, StateUpdate("s", ("a",))),)
+        refs = []
+
+        def chain(table):
+            for _ in range(12):
+                pred, table = table, _Table()
+                refs.append(weakref.ref(table))
+                yield table, ((pred, moves),)
+                # Resumed after node k was filled: only nodes k - 1 and k
+                # may still be alive.
+                assert [r() is None for r in refs[:-2]] == [True] * (len(refs) - 2)
+
+        result = decoder._lattice_viterbi((), trans_log, chain, True, None)
+        assert result == (0.0, [1] * 12)
+        assert len(refs) == 12
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
-"""Print one sha256 over a fixed set of decoder and aligner results.
+"""Print two sha256 digests over a fixed set of decoder and aligner runs.
 
-Two trees that print the same digest decode and align every instance below
-to the same path or operations, the same log-probability bit for bit, and
-the same ``DecodeStats`` counters. The instances are:
+The results digest covers each path or operation list and its
+log-probability bit for bit (``float.hex``); the counters digest covers the
+``DecodeStats`` counters of the same runs. Two trees that print the same
+results digest decode and align every instance below alike; a change that
+alters only the search (which entries merge, how many checks run) moves the
+counters digest alone. The instances are:
 
 - 3,000 ``random_chmm_instance(random.Random(7), max_len=9)`` instances,
   each decoded with ``prune=True`` and with ``prune=False``;
@@ -13,10 +16,11 @@ the same ``DecodeStats`` counters. The instances are:
   delete states.
 
 Run from the repository root: ``python tools/differential_digest.py``. It
-prints the expected and the computed digest and exits 1 when they differ.
-The random parameters are normalized with ``math.fsum``, so every supported
-Python version computes the same digest. A change that alters any result
-updates ``EXPECTED`` and says why.
+prints the expected and the computed value of each digest and exits 1 when
+either differs. The random parameters are normalized with ``math.fsum``, so
+every supported Python version computes the same digests. A change that
+alters results updates ``RESULTS_EXPECTED``, one that alters counters updates
+``COUNTERS_EXPECTED``, and either says why.
 """
 
 from __future__ import annotations
@@ -37,30 +41,34 @@ from chmm.random_instances import (  # noqa: E402
     random_pair_params,
 )
 
-EXPECTED = "1fe9315ef46e5b53bc31baf3f9c1488ba40557f4778a345f0d34a00700c0215d"
+RESULTS_EXPECTED = "8e25a0e90b280907534e53e709722a178855f40fa5091d27efbbef045626fde2"
+COUNTERS_EXPECTED = "7507ca29ae60a6a9411ac7df38e93c78353344a2dbdbd8c976dac0d7fd66d8df"
 DECODE_INSTANCES = 3000
 BUDGET_ALIGNS = 1500
 CONSTRAINED_ALIGNS = 500
 
 
-def _record(digest, result, stats: DecodeStats) -> None:
+def _record(results, counters, result, stats: DecodeStats) -> None:
     if result is None:
         text = "None"
     else:
         path, log_prob = result
         text = repr(path) + " " + float.hex(log_prob)
-    counters = (stats.expansions, stats.prunes, stats.peak_entries, stats.stores, stats.checks)
-    digest.update((text + " " + repr(counters) + "\n").encode())
+    results.update((text + "\n").encode())
+    fields = (stats.expansions, stats.prunes, stats.peak_entries, stats.stores, stats.checks)
+    counters.update((repr(fields) + "\n").encode())
 
 
-def digest() -> str:
-    h = hashlib.sha256()
+def digests() -> tuple[str, str]:
+    """The results digest and the counters digest."""
+    results, counters = hashlib.sha256(), hashlib.sha256()
     rng = random.Random(7)
     for _ in range(DECODE_INSTANCES):
         chmm, obs = random_chmm_instance(rng, max_len=9)
         for prune in (True, False):
             stats = DecodeStats()
-            _record(h, constrained_viterbi(chmm, obs, prune=prune, stats=stats), stats)
+            result = constrained_viterbi(chmm, obs, prune=prune, stats=stats)
+            _record(results, counters, result, stats)
     rng = random.Random(8)
     for i in range(BUDGET_ALIGNS + CONSTRAINED_ALIGNS):
         params = random_pair_params(rng)
@@ -81,11 +89,15 @@ def digest() -> str:
         stats = DecodeStats()
         alignment = align(build_pair_chmm(params, specs), x, y, stats=stats)
         result = None if alignment is None else (alignment.ops, alignment.log_prob)
-        _record(h, result, stats)
-    return h.hexdigest()
+        _record(results, counters, result, stats)
+    return results.hexdigest(), counters.hexdigest()
 
 
 if __name__ == "__main__":
-    computed = digest()
-    print(f"expected {EXPECTED}\ncomputed {computed}")
-    sys.exit(0 if computed == EXPECTED else 1)
+    ok = True
+    for name, expected, computed in zip(
+        ("results", "counters"), (RESULTS_EXPECTED, COUNTERS_EXPECTED), digests()
+    ):
+        print(f"{name} expected {expected}\n{name} computed {computed}")
+        ok = ok and computed == expected
+    sys.exit(0 if ok else 1)
