@@ -101,7 +101,7 @@ def validate_model(hmm: Hmm) -> list[str]:
             f"expected {m + 1} transition rows (one per state), got {len(hmm.transitions)}"
         )
     for i, row in enumerate(hmm.transitions[: m + 1]):
-        label = states[i] if i < len(states) else f"#{i}"
+        label = states[i]
         if len(row) == m + 1:
             problems.append(
                 f"transition row for {label!r} has {m + 1} entries; transitions into "

@@ -2,7 +2,7 @@
 
 A model file is line-oriented text. Blank lines and ``#`` comments are
 ignored; the first significant line names the kind (``hmm`` or ``pair``) and
-the rest are labelled rows::
+the rest are labelled lines, in any order::
 
     hmm                          pair
     states: s0 s1 s2             alphabet: A C G T
@@ -14,7 +14,12 @@ the rest are labelled rows::
     emissions s2: 0.2 0.8
 
 Transition columns cover the non-initial states in declaration order; match
-rows are keyed by the first symbol of the emitted pair.
+rows are keyed by the first symbol of the emitted pair. The table ``_FORMAT``
+is the single definition of this format: ``parse_model_text`` reads
+documents from it and ``format_model`` writes them.
+
+Every file is read through ``_read_text``, which refuses one longer than
+``MAX_INPUT_CHARS`` characters.
 """
 
 from __future__ import annotations
@@ -33,6 +38,23 @@ class ModelParseError(ValueError):
 
 Model = Union[Hmm, PairHmmParams]
 
+MAX_INPUT_CHARS = 16 * 1024 * 1024  # longest model, constraint or FASTA file read
+
+
+def _read_text(path) -> str:
+    """The file's text; ValueError if it holds more than MAX_INPUT_CHARS
+    characters, so an endless input such as /dev/zero ends in one message.
+    Read in chunks below the allocator's mmap threshold: one read sized to
+    the cap allocates 16 MiB per file, which raises that threshold for good."""
+    parts, size = [], 0
+    with Path(path).open() as fh:
+        while part := fh.read(1 << 16):
+            size += len(part)
+            if size > MAX_INPUT_CHARS:
+                raise ValueError(f"{path}: more than {MAX_INPUT_CHARS} characters")
+            parts.append(part)
+    return "".join(parts)
+
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
     out = []
@@ -41,22 +63,6 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
         if line and not line.startswith("#"):
             out.append((lineno, line))
     return out
-
-
-def _labelled(lines, scalars: tuple[str, ...]):
-    """Yield ``(lineno, label, values)`` per line; a field named in
-    ``scalars`` may appear only once."""
-    seen: set[str] = set()
-    for lineno, line in lines:
-        if ":" not in line:
-            raise ModelParseError(f"line {lineno}: expected 'label: values', got {line!r}")
-        label, _, rest = line.partition(":")
-        label = label.strip()
-        if label in scalars:
-            if label in seen:
-                raise ModelParseError(f"line {lineno}: duplicate field {label!r}")
-            seen.add(label)
-        yield lineno, label, rest.strip()
 
 
 def _floats(lineno: int, label: str, text: str) -> tuple[float, ...]:
@@ -71,153 +77,126 @@ def _floats(lineno: int, label: str, text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
+def _number(lineno: int, label: str, text: str) -> float:
+    values = _floats(lineno, label, text)
+    if len(values) != 1:
+        raise ModelParseError(f"line {lineno}: {label} takes one number")
+    return values[0]
+
+
+def _names(lineno: int, label: str, text: str) -> tuple[str, ...] | None:
+    return tuple(text.split()) or None  # an empty list of names counts as missing
+
+
+# The model-file format: per kind, the model class and its fields in file
+# order, each as ``label: (read, attribute, rows)``. ``read`` turns one line's
+# values into the attribute's value (or into one row of it). ``rows`` is None
+# for a field given once; a field with one row per key, whose label ends in the
+# space before the key (``transitions s1:``), gives the names field
+# holding its keys, how many leading keys have no row, and the words of its
+# messages: the row's noun, the key's noun, and what a stray key is called.
+_FORMAT = {
+    "hmm": (Hmm, {
+        "states": (_names, "states", None),
+        "alphabet": (_names, "alphabet", None),
+        "transitions ": (_floats, "transitions",
+                        ("states", 0, "transition", "state", "unknown state")),
+        "emissions ": (_floats, "emissions",
+                      ("states", 1, "emission", "state", "unknown or initial state")),
+    }),
+    "pair": (PairHmmParams, {
+        "alphabet": (_names, "alphabet", None),
+        "gap_open": (_number, "gap_open", None),
+        "gap_extend": (_number, "gap_extend", None),
+        "match ": (_floats, "match_emission",
+                  ("alphabet", 0, "match", "symbol", "unknown symbol")),
+        "gap": (_floats, "gap_emission", None),
+    }),
+}
+
+
 def parse_model_text(text: str) -> Model:
     """Parse and validate a model document; raises ModelParseError."""
     lines = _significant_lines(text)
     if not lines:
         raise ModelParseError("empty model file")
     kind_line, kind = lines[0]
-    if kind == "hmm":
-        return _parse_hmm(lines[1:])
-    if kind == "pair":
-        return _parse_pair(lines[1:])
-    raise ModelParseError(
-        f"line {kind_line}: unknown model kind {kind!r} (expected 'hmm' or 'pair')"
-    )
-
-
-def _parse_hmm(lines) -> Hmm:
-    states: tuple[str, ...] = ()
-    alphabet: tuple[str, ...] = ()
-    trans: dict[str, tuple[float, ...]] = {}
-    emit: dict[str, tuple[float, ...]] = {}
-    for lineno, label, rest in _labelled(lines, ("states", "alphabet")):
-        if label == "states":
-            states = tuple(rest.split())
-        elif label == "alphabet":
-            alphabet = tuple(rest.split())
-        elif label.startswith("transitions "):
-            state = label.split(None, 1)[1]
-            if state in trans:
-                raise ModelParseError(f"line {lineno}: duplicate transition row for {state!r}")
-            trans[state] = _floats(lineno, label, rest)
-        elif label.startswith("emissions "):
-            state = label.split(None, 1)[1]
-            if state in emit:
-                raise ModelParseError(f"line {lineno}: duplicate emission row for {state!r}")
-            emit[state] = _floats(lineno, label, rest)
-        else:
+    if kind not in _FORMAT:
+        raise ModelParseError(
+            f"line {kind_line}: unknown model kind {kind!r} (expected 'hmm' or 'pair')"
+        )
+    cls, fields = _FORMAT[kind]
+    found: dict = {}  # attribute -> value; rows are a dict key -> row until all are read
+    for lineno, line in lines[1:]:
+        label, colon, rest = line.partition(":")
+        if not colon:
+            raise ModelParseError(f"line {lineno}: expected 'label: values', got {line!r}")
+        label = label.strip()
+        head, space, key = label.partition(" ")
+        field = fields.get(head + space)
+        if field is None:
             raise ModelParseError(f"line {lineno}: unknown field {label!r}")
-    if not states:
-        raise ModelParseError("missing 'states:' line")
-    if not alphabet:
-        raise ModelParseError("missing 'alphabet:' line")
-    for s in states:
-        if s not in trans:
-            raise ModelParseError(f"missing transition row for state {s!r}")
-    for s in states[1:]:
-        if s not in emit:
-            raise ModelParseError(f"missing emission row for state {s!r}")
-    for s in trans:
-        if s not in states:
-            raise ModelParseError(f"transition row for unknown state {s!r}")
-    for s in emit:
-        if s not in states[1:]:
-            raise ModelParseError(f"emission row for unknown or initial state {s!r}")
-    hmm = Hmm(
-        states=states,
-        alphabet=alphabet,
-        transitions=tuple(trans[s] for s in states),
-        emissions=tuple(emit[s] for s in states[1:]),
-    )
-    problems = validate_model(hmm)
+        read, attr, rows = field
+        if rows:
+            got = found.setdefault(attr, {})
+            key = key.lstrip()
+            if key in got:
+                raise ModelParseError(f"line {lineno}: duplicate {rows[2]} row for {key!r}")
+            got[key] = read(lineno, label, rest)
+        elif attr in found:
+            raise ModelParseError(f"line {lineno}: duplicate field {label!r}")
+        else:
+            found[attr] = read(lineno, label, rest)
+    # Names fields precede the rows they key, so a missing one is reported first.
+    keyed = []  # per row field: attribute, words, rows read, keys that need a row
+    for label, (_, attr, rows) in fields.items():
+        if rows:
+            keyed.append((attr, rows[2:], found.setdefault(attr, {}), found[rows[0]][rows[1]:]))
+        elif found.get(attr) is None:
+            raise ModelParseError(f"missing '{label}:' line")
+    for _, (noun, word, _), got, keys in keyed:
+        for key in keys:
+            if key not in got:
+                raise ModelParseError(f"missing {noun} row for {word} {key!r}")
+    for attr, (noun, _, stray), got, keys in keyed:
+        for key in got:
+            if key not in keys:
+                raise ModelParseError(f"{noun} row for {stray} {key!r}")
+        found[attr] = tuple(got[key] for key in keys)
+    model = cls(**found)
+    # looked up at call time, not kept in _FORMAT, so a wrapper on the module global is called
+    problems = (validate_model if cls is Hmm else validate_pair_params)(model)
     if problems:
         raise ModelParseError("model validation failed: " + "; ".join(problems))
-    return hmm
-
-
-def _parse_pair(lines) -> PairHmmParams:
-    alphabet: tuple[str, ...] = ()
-    gap_open = gap_extend = None
-    match_rows: dict[str, tuple[float, ...]] = {}
-    gap_row = None
-    for lineno, label, rest in _labelled(
-        lines, ("alphabet", "gap_open", "gap_extend", "gap")
-    ):
-        if label == "alphabet":
-            alphabet = tuple(rest.split())
-        elif label == "gap_open":
-            gap_open = _floats(lineno, label, rest)
-            if len(gap_open) != 1:
-                raise ModelParseError(f"line {lineno}: gap_open takes one number")
-            gap_open = gap_open[0]
-        elif label == "gap_extend":
-            gap_extend = _floats(lineno, label, rest)
-            if len(gap_extend) != 1:
-                raise ModelParseError(f"line {lineno}: gap_extend takes one number")
-            gap_extend = gap_extend[0]
-        elif label.startswith("match "):
-            sym = label.split(None, 1)[1]
-            if sym in match_rows:
-                raise ModelParseError(f"line {lineno}: duplicate match row for {sym!r}")
-            match_rows[sym] = _floats(lineno, label, rest)
-        elif label == "gap":
-            gap_row = _floats(lineno, label, rest)
-        else:
-            raise ModelParseError(f"line {lineno}: unknown field {label!r}")
-    if not alphabet:
-        raise ModelParseError("missing 'alphabet:' line")
-    if gap_open is None:
-        raise ModelParseError("missing 'gap_open:' line")
-    if gap_extend is None:
-        raise ModelParseError("missing 'gap_extend:' line")
-    if gap_row is None:
-        raise ModelParseError("missing 'gap:' line")
-    for sym in alphabet:
-        if sym not in match_rows:
-            raise ModelParseError(f"missing match row for symbol {sym!r}")
-    for sym in match_rows:
-        if sym not in alphabet:
-            raise ModelParseError(f"match row for unknown symbol {sym!r}")
-    params = PairHmmParams(
-        alphabet=alphabet,
-        gap_open=gap_open,
-        gap_extend=gap_extend,
-        match_emission=tuple(match_rows[s] for s in alphabet),
-        gap_emission=gap_row,
-    )
-    problems = validate_pair_params(params)
-    if problems:
-        raise ModelParseError("model validation failed: " + "; ".join(problems))
-    return params
+    return model
 
 
 def parse_model(path) -> Model:
     """Read and validate a model file."""
-    return parse_model_text(Path(path).read_text())
+    return parse_model_text(_read_text(path))
 
 
 def format_model(model: Model) -> str:
     """Render a model as a document that parses back to an identical model."""
-    lines: list[str] = []
-    if isinstance(model, Hmm):
-        lines.append("hmm")
-        lines.append("states: " + " ".join(model.states))
-        lines.append("alphabet: " + " ".join(model.alphabet))
-        for state, row in zip(model.states, model.transitions):
-            lines.append(f"transitions {state}: " + " ".join(repr(p) for p in row))
-        for state, row in zip(model.states[1:], model.emissions):
-            lines.append(f"emissions {state}: " + " ".join(repr(p) for p in row))
-    elif isinstance(model, PairHmmParams):
-        lines.append("pair")
-        lines.append("alphabet: " + " ".join(model.alphabet))
-        lines.append(f"gap_open: {model.gap_open!r}")
-        lines.append(f"gap_extend: {model.gap_extend!r}")
-        for sym, row in zip(model.alphabet, model.match_emission):
-            lines.append(f"match {sym}: " + " ".join(repr(p) for p in row))
-        lines.append("gap: " + " ".join(repr(p) for p in model.gap_emission))
+    for kind, (cls, fields) in _FORMAT.items():
+        if isinstance(model, cls):
+            break
     else:
         raise TypeError(f"not a model: {model!r}")
+    lines = [kind]
+    for label, (read, attr, rows) in fields.items():
+        value = getattr(model, attr)
+        if rows:
+            keys = getattr(model, rows[0])[rows[1]:]
+            lines.extend(
+                f"{label}{key}: " + " ".join(map(repr, row)) for key, row in zip(keys, value)
+            )
+        elif read is _names:
+            lines.append(f"{label}: " + " ".join(value))
+        elif read is _number:
+            lines.append(f"{label}: {value!r}")
+        else:
+            lines.append(f"{label}: " + " ".join(map(repr, value)))
     return "\n".join(lines) + "\n"
 
 
@@ -235,13 +214,13 @@ def parse_constraints_text(text: str) -> list[ConstraintSpec]:
 
 def parse_constraints(path) -> list[ConstraintSpec]:
     """Read a constraint declaration file."""
-    return parse_constraints_text(Path(path).read_text())
+    return parse_constraints_text(_read_text(path))
 
 
 def read_fasta(path) -> list[tuple[str, str]]:
     """Read FASTA records as (header, sequence) pairs; sequences uppercased."""
     records: list[tuple[str, list[str]]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -1,11 +1,16 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
-from chmm import format_model, uniform_pair_params
+from chmm import format_model, parse_model, uniform_pair_params
 from chmm.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, main
+from chmm.modelio import MAX_INPUT_CHARS
 
 from conftest import HMM_A
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 @pytest.fixture
@@ -93,6 +98,13 @@ class TestDecode:
     def test_missing_model_file(self, capsys):
         code = main(["decode", "--model", "/nonexistent", "--obs", "a"])
         assert code == EXIT_ERROR
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_model_file_is_an_input_error(self, capsys):
+        code = main(["decode", "--model", "/dev/zero", "--obs", "a"])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == f"error: /dev/zero: more than {MAX_INPUT_CHARS} characters\n"
 
     def test_unknown_observation_symbol(self, model_file, capsys):
         code = main(["decode", "--model", model_file, "--obs", "q"])
@@ -244,3 +256,18 @@ class TestBench:
         code = main(["bench", "--experiment", "warp-drive"])
         assert code == EXIT_ERROR
         assert "unknown experiment" in capsys.readouterr().err
+
+
+class TestExamples:
+    def test_example_models_are_as_format_model_writes_them(self):
+        for name in ("hmm.txt", "pair.txt"):
+            path = EXAMPLES / name
+            assert path.read_text() == format_model(parse_model(path))
+
+    def test_decode_and_align_the_examples(self, capsys):
+        names = ("hmm.txt", "pair.txt", "indels.txt", "x.fa", "y.fa")
+        ex = {name: str(EXAMPLES / name) for name in names}
+        assert main(["decode", "--model", ex["hmm.txt"], "--obs", "abba"]) == EXIT_OK
+        code = main(["align", "--model", ex["pair.txt"], "--constraints", ex["indels.txt"],
+                     "--x", ex["x.fa"], "--y", ex["y.fa"]])
+        assert code == EXIT_OK

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chmm import (
@@ -14,7 +16,9 @@ from chmm import (
     read_fasta,
     uniform_pair_params,
 )
+from chmm import modelio
 from chmm.modelio import parse_constraints_text, parse_model_text
+from chmm.random_instances import random_hmm, random_pair_params
 
 from conftest import HMM_A
 
@@ -60,6 +64,12 @@ class TestModelParsing:
         params = uniform_pair_params(("A", "C", "G", "T"), 0.13, 0.21)
         assert parse_model_text(format_model(params)) == params
 
+    def test_round_trip_random_models(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            for model in (random_hmm(rng), random_pair_params(rng)):
+                assert parse_model_text(format_model(model)) == model
+
     def test_row_sum_failure_reported(self):
         bad = HMM_TEXT.replace("transitions s1: 0.7 0.3", "transitions s1: 0.6 0.3")
         with pytest.raises(ModelParseError, match="validation failed.*'s1'"):
@@ -102,6 +112,77 @@ class TestModelParsing:
             ModelParseError, match=f"^line {lineno}: duplicate field '{field}'$"
         ):
             parse_model_text(repeated)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# nothing here\n", "empty model file"),
+            ("markov\nstates: s0\n",
+             "line 1: unknown model kind 'markov' (expected 'hmm' or 'pair')"),
+            (HMM_TEXT.replace("alphabet: a b", "alphabet a b"),
+             "line 4: expected 'label: values', got 'alphabet a b'"),
+            (HMM_TEXT + "alphabet: a\n", "line 10: duplicate field 'alphabet'"),
+            (HMM_TEXT.replace("0.4 0.6", "0.4 x"),
+             "line 7: field 'transitions s2': 'x' is not a number"),
+            (PAIR_TEXT.replace("gap_open: 0.2", "gap_open: x"),
+             "line 3: field 'gap_open': 'x' is not a number"),
+            (HMM_TEXT + "transitions \t s1: 0.7 0.3\n",
+             "line 10: duplicate transition row for 's1'"),
+            (HMM_TEXT + "emissions s1: 0.9 0.1\n",
+             "line 10: duplicate emission row for 's1'"),
+            (HMM_TEXT + "gap: 0.5 0.5\n", "line 10: unknown field 'gap'"),
+            (HMM_TEXT + "transitions: 0.5 0.5\n", "line 10: unknown field 'transitions'"),
+            (HMM_TEXT + "states s1: s0\n", "line 10: unknown field 'states s1'"),
+            (HMM_TEXT + "transitions\ts1: 0.7 0.3\n",
+             "line 10: unknown field 'transitions\\ts1'"),
+            (PAIR_TEXT + "states: s0\n", "line 8: unknown field 'states'"),
+            (HMM_TEXT.replace("states: s0 s1 s2", "states:"), "missing 'states:' line"),
+            (HMM_TEXT.replace("alphabet: a b\n", ""), "missing 'alphabet:' line"),
+            (PAIR_TEXT.replace("alphabet: A B", "alphabet:"), "missing 'alphabet:' line"),
+            (PAIR_TEXT.replace("gap_open: 0.2\n", ""), "missing 'gap_open:' line"),
+            (PAIR_TEXT.replace("gap_extend: 0.3\n", ""), "missing 'gap_extend:' line"),
+            (PAIR_TEXT.replace("gap: 0.5 0.5\n", ""), "missing 'gap:' line"),
+            (HMM_TEXT.replace("transitions s1: 0.7 0.3\n", ""),
+             "missing transition row for state 's1'"),
+            (HMM_TEXT.replace("emissions s2: 0.2 0.8\n", "transitions s9: 0.5 0.5\n"),
+             "missing emission row for state 's2'"),
+            (PAIR_TEXT.replace("match B: 0.2 0.3\n", ""),
+             "missing match row for symbol 'B'"),
+            (HMM_TEXT + "transitions s9: 0.5 0.5\n",
+             "transition row for unknown state 's9'"),
+            (HMM_TEXT + "emissions s0: 0.5 0.5\n",
+             "emission row for unknown or initial state 's0'"),
+            (PAIR_TEXT + "match C: 0.5 0.5\n", "match row for unknown symbol 'C'"),
+            (PAIR_TEXT.replace("gap_open: 0.2", "gap_open: 0.2 0.1"),
+             "line 3: gap_open takes one number"),
+            (PAIR_TEXT.replace("gap_extend: 0.3", "gap_extend:"),
+             "line 4: gap_extend takes one number"),
+            (PAIR_TEXT + "match A: 0.3 0.2\n", "line 8: duplicate match row for 'A'"),
+            (HMM_TEXT.replace("transitions s1: 0.7 0.3", "transitions s1: 0.6 0.3"),
+             "model validation failed: transition row for 's1' sums to "
+             "0.8999999999999999, expected 1"),
+            (PAIR_TEXT.replace("gap_open: 0.2", "gap_open: 0.7"),
+             "model validation failed: gap_open 0.7 makes the match row negative "
+             "(2*gap_open > 1)"),
+            (PAIR_TEXT.replace("gap: 0.5 0.5", "gap:"),
+             "model validation failed: gap emission row has 0 entries for 2 symbols"),
+        ],
+        ids=["empty", "unknown-kind", "no-colon", "duplicate-field", "hmm-not-a-number",
+             "pair-not-a-number", "duplicate-transition-row", "duplicate-emission-row",
+             "hmm-unknown-field", "row-label-without-key", "scalar-label-with-key",
+             "row-label-tab-separated", "pair-unknown-field", "empty-states",
+             "hmm-missing-alphabet", "pair-empty-alphabet", "missing-gap_open",
+             "missing-gap_extend", "missing-gap", "missing-transition-row",
+             "missing-before-unknown-row", "missing-match-row",
+             "transition-row-unknown-state", "emission-row-initial-state",
+             "match-row-unknown-symbol", "gap_open-two-numbers", "gap_extend-empty",
+             "duplicate-match-row", "hmm-validation", "pair-validation",
+             "empty-gap-is-present"],
+    )
+    def test_every_error_message(self, text, message):
+        with pytest.raises(ModelParseError) as info:
+            parse_model_text(text)
+        assert str(info.value) == message
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ModelParseError, match="unknown model kind"):
@@ -155,3 +236,20 @@ class TestFasta:
         path.write_text("\n")
         with pytest.raises(ValueError, match="no FASTA records"):
             read_fasta(path)
+
+
+class TestInputSizeLimit:
+    @pytest.mark.parametrize(
+        "read, text",
+        [(parse_model, HMM_TEXT), (parse_constraints, "alldiff\n"), (read_fasta, ">s\nACGT\n")],
+        ids=["model", "constraints", "fasta"],
+    )
+    def test_one_character_over_the_cap_rejected(self, read, text, tmp_path, monkeypatch):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        monkeypatch.setattr(modelio, "MAX_INPUT_CHARS", len(text))
+        read(path)
+        monkeypatch.setattr(modelio, "MAX_INPUT_CHARS", len(text) - 1)
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: more than {len(text) - 1} characters"
