@@ -218,7 +218,8 @@ def parse_constraints(path) -> list[ConstraintSpec]:
 
 
 def read_fasta(path) -> list[tuple[str, str]]:
-    """Read FASTA records as (header, sequence) pairs; sequences uppercased."""
+    """Read FASTA records as (header, sequence) pairs; sequences uppercased.
+    Format errors start with the path."""
     records: list[tuple[str, list[str]]] = []
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
@@ -229,9 +230,9 @@ def read_fasta(path) -> list[tuple[str, str]]:
         else:
             if not records:
                 raise ValueError(
-                    f"line {lineno}: sequence data before the first '>' header"
+                    f"{path}: line {lineno}: sequence data before the first '>' header"
                 )
             records[-1][1].append(line.upper())
     if not records:
-        raise ValueError("no FASTA records found")
+        raise ValueError(f"{path}: no FASTA records found")
     return [(header, "".join(parts)) for header, parts in records]

@@ -11,6 +11,10 @@ consumed.
 Constraint checking sees one update per alignment operation, carrying the
 state name and the emitted symbol(s), so constraints can be written against
 states, symbols or both.
+
+``_PAIR_OPS`` is the one definition of the three operations: every function
+that builds, checks, scores, enumerates or prints operations reads it, except
+``align``'s per-cell predecessor reads and the ``align_plain`` baseline.
 """
 
 from __future__ import annotations
@@ -30,7 +34,16 @@ from .constraints import (
 from .decoder import DecodeStats, _lattice_viterbi
 from .hmm import NEG_INF, ROW_SUM_TOL
 
-PAIR_STATES = ("begin", "match", "insert", "delete")
+# The operations in tie order: state name, symbols of x and of y consumed, and
+# what a step past the end consumes beyond. An operation is the tuple
+# (name,) + (i,) * dx + (j,) * dy at the positions i, j reached, written as
+# the letter name[0], and it emits x[i - dx:i] + y[j - dy:j].
+_PAIR_OPS = (
+    ("match", 1, 1, "the sequences"),
+    ("insert", 1, 0, "sequence x"),
+    ("delete", 0, 1, "sequence y"),
+)
+PAIR_STATES = ("begin",) + tuple(op[0] for op in _PAIR_OPS)
 
 # 20 standard amino acids plus selenocysteine.
 AMINO_ACIDS = tuple("ACDEFGHIKLMNPQRSTUVWY")
@@ -77,26 +90,22 @@ class PairHmmParams:
         }
         out: dict[tuple[str, str], float] = {}
         for src, row in rows.items():
-            for dst, prob in zip(("match", "insert", "delete"), row):
+            for dst, prob in zip(PAIR_STATES[1:], row):
                 if prob > 0.0:
                     out[(src, dst)] = math.log(prob)
         return out
 
     @cached_property
-    def match_log(self) -> dict[tuple[str, str], float]:
-        out: dict[tuple[str, str], float] = {}
+    def emission_log(self) -> dict[tuple[str, ...], float]:
+        """Log-probabilities of the positive emissions, keyed by the emitted
+        symbols: ``(a, b)`` from match, ``(a,)`` from insert or delete."""
+        out = {(a,): math.log(q) for a, q in zip(self.alphabet, self.gap_emission) if q > 0.0}
         for i, a in enumerate(self.alphabet):
             for j, b in enumerate(self.alphabet):
                 q = self.match_emission[i][j]
                 if q > 0.0:
-                    out[(a, b)] = math.log(q)
+                    out[a, b] = math.log(q)
         return out
-
-    @cached_property
-    def gap_log(self) -> dict[str, float]:
-        return {
-            a: math.log(q) for a, q in zip(self.alphabet, self.gap_emission) if q > 0.0
-        }
 
 
 def uniform_pair_params(
@@ -201,22 +210,26 @@ def ops_from_letters(letters: str) -> tuple[tuple, ...]:
     seq = letters.replace(" ", "")
     if seq.startswith("b"):
         seq = seq[1:]
+    kinds = {name[0]: (name, dx, dy) for name, dx, dy, _ in _PAIR_OPS}
     ops: list[tuple] = []
     i = j = 0
     for ch in seq:
-        if ch == "m":
-            i += 1
-            j += 1
-            ops.append(("match", i, j))
-        elif ch == "i":
-            i += 1
-            ops.append(("insert", i))
-        elif ch == "d":
-            j += 1
-            ops.append(("delete", j))
-        else:
+        if ch not in kinds:
             raise ValueError(f"unknown alignment letter {ch!r}")
+        name, dx, dy = kinds[ch]
+        i += dx
+        j += dy
+        ops.append((name,) + (i,) * dx + (j,) * dy)
     return tuple(ops)
+
+
+def _op_kind(op) -> tuple:
+    """The ``_PAIR_OPS`` entry that op names; compared, not hashed, so an
+    unhashable kind is unknown too."""
+    for kind in _PAIR_OPS:
+        if op[0] == kind[0]:
+            return kind
+    raise ValueError(f"unknown alignment operation {op!r}")
 
 
 def _walk_ops(x: Sequence[str], y: Sequence[str], ops) -> list[StateUpdate]:
@@ -224,31 +237,15 @@ def _walk_ops(x: Sequence[str], y: Sequence[str], ops) -> list[StateUpdate]:
     i = j = 0
     history: list[StateUpdate] = []
     for op in ops:
-        kind = op[0]
-        if kind == "match":
-            i += 1
-            j += 1
-            if op != ("match", i, j):
-                raise ValueError(f"operation {op!r} out of order (expected {('match', i, j)!r})")
-            if i > len(x) or j > len(y):
-                raise ValueError(f"operation {op!r} consumes beyond the sequences")
-            history.append(StateUpdate("match", (x[i - 1], y[j - 1])))
-        elif kind == "insert":
-            i += 1
-            if op != ("insert", i):
-                raise ValueError(f"operation {op!r} out of order (expected {('insert', i)!r})")
-            if i > len(x):
-                raise ValueError(f"operation {op!r} consumes beyond sequence x")
-            history.append(StateUpdate("insert", (x[i - 1],)))
-        elif kind == "delete":
-            j += 1
-            if op != ("delete", j):
-                raise ValueError(f"operation {op!r} out of order (expected {('delete', j)!r})")
-            if j > len(y):
-                raise ValueError(f"operation {op!r} consumes beyond sequence y")
-            history.append(StateUpdate("delete", (y[j - 1],)))
-        else:
-            raise ValueError(f"unknown alignment operation {op!r}")
+        name, dx, dy, beyond = _op_kind(op)
+        i += dx
+        j += dy
+        expected = (name,) + (i,) * dx + (j,) * dy
+        if op != expected:
+            raise ValueError(f"operation {op!r} out of order (expected {expected!r})")
+        if i > len(x) or j > len(y):
+            raise ValueError(f"operation {op!r} consumes beyond {beyond}")
+        history.append(StateUpdate(name, tuple(x[i - dx:i]) + tuple(y[j - dy:j])))
     if i != len(x) or j != len(y):
         raise ValueError(
             f"alignment consumes {i} of {len(x)} x-symbols and {j} of {len(y)} y-symbols"
@@ -279,13 +276,8 @@ def alignment_log_probability(
     prev = "begin"
     for update in history:
         lt = model.params.transition_log.get((prev, update.state))
-        if lt is None:
-            return NEG_INF
-        if update.state == "match":
-            le = model.params.match_log.get((update.emitted[0], update.emitted[1]))
-        else:
-            le = model.params.gap_log.get(update.emitted[0])
-        if le is None:
+        le = model.params.emission_log.get(update.emitted)
+        if lt is None or le is None:
             return NEG_INF
         total += lt
         total += le
@@ -321,23 +313,19 @@ def align(
     nx, ny = len(x), len(y)
     params = model.params
     trans = [[params.transition_log.get((a, b)) for b in PAIR_STATES] for a in PAIR_STATES]
-    mlog = params.match_log
-    glog = params.gap_log
-    match, insert, delete = 1, 2, 3  # indexes into PAIR_STATES
-    # Every cell that emits the same symbol pair (match) or symbol (insert,
-    # delete) shares one move, so no cell allocates an update.
-    match_moves = {
-        (a, b): ((match, mlog[a, b], StateUpdate("match", (a, b))),)
-        for a in set(x)
-        for b in set(y)
-        if (a, b) in mlog
-    }
-    insert_moves = {
-        a: ((insert, glog[a], StateUpdate("insert", (a,))),) for a in set(x) if a in glog
-    }
-    delete_moves = {
-        b: ((delete, glog[b], StateUpdate("delete", (b,))),) for b in set(y) if b in glog
-    }
+    elog = params.emission_log
+    # Every cell that emits the same symbols shares one move, so no cell
+    # allocates an update. Moves are keyed by what a cell reads: the symbol
+    # pair for match, the symbol for a gap. State s is PAIR_STATES[s].
+    sx, sy = {(a,) for a in x}, {(b,) for b in y}
+    match_moves, insert_moves, delete_moves = (
+        {
+            e if len(e) > 1 else e[0]: ((s, elog[e], StateUpdate(name, e)),)
+            for e in {a + b for a in (sx if dx else [()]) for b in (sy if dy else [()])}
+            if e in elog
+        }
+        for s, (name, dx, dy, _) in enumerate(_PAIR_OPS, 1)
+    )
 
     def diagonals(source):
         # The tables of anti-diagonals i + j = t - 2 and t - 1, by i; None
@@ -394,8 +382,7 @@ def align_plain(
     y = tuple(y)
     nx, ny = len(x), len(y)
     trans = params.transition_log
-    mlog = params.match_log
-    glog = params.gap_log
+    elog = params.emission_log
     names = PAIR_STATES[1:]  # state s is names[s]: 0 match, 1 insert, 2 delete
     # into[t] holds (s, log transition s -> t) for each existing transition;
     # begin shares match's row, so it is the match score of cell (0, 0).
@@ -414,9 +401,9 @@ def align_plain(
             j = t - i
             c = i * (ny + 1) + j
             emits = (
-                mlog.get((x[i - 1], y[j - 1])) if i and j else None,
-                glog.get(x[i - 1]) if i else None,
-                glog.get(y[j - 1]) if j else None,
+                elog.get((x[i - 1], y[j - 1])) if i and j else None,
+                elog.get((x[i - 1],)) if i else None,
+                elog.get((y[j - 1],)) if j else None,
             )
             for dst, le in enumerate(emits):
                 if le is None:
@@ -473,8 +460,7 @@ def brute_force_align(
     nx, ny = len(x), len(y)
     specs = model.constraints
     trans = model.params.transition_log
-    mlog = model.params.match_log
-    glog = model.params.gap_log
+    elog = model.params.emission_log
     best: Optional[Alignment] = None
 
     def leaf(ops: list[tuple], lp: float, history: list[StateUpdate]) -> None:
@@ -488,37 +474,19 @@ def brute_force_align(
         if i == nx and j == ny:
             leaf(ops, lp, history)
             return
-        if i < nx and j < ny:
-            lt = trans.get((prev, "match"))
-            le = mlog.get((x[i], y[j]))
+        for name, dx, dy, _ in _PAIR_OPS:
+            ni, nj = i + dx, j + dy
+            if ni > nx or nj > ny:
+                continue
+            emitted = x[i:ni] + y[j:nj]
+            lt = trans.get((prev, name))
+            le = elog.get(emitted)
             if lt is not None and le is not None:
                 nlp = lp + lt
                 nlp += le
-                ops.append(("match", i + 1, j + 1))
-                history.append(StateUpdate("match", (x[i], y[j])))
-                walk(i + 1, j + 1, "match", nlp, ops, history)
-                ops.pop()
-                history.pop()
-        if i < nx:
-            lt = trans.get((prev, "insert"))
-            le = glog.get(x[i])
-            if lt is not None and le is not None:
-                nlp = lp + lt
-                nlp += le
-                ops.append(("insert", i + 1))
-                history.append(StateUpdate("insert", (x[i],)))
-                walk(i + 1, j, "insert", nlp, ops, history)
-                ops.pop()
-                history.pop()
-        if j < ny:
-            lt = trans.get((prev, "delete"))
-            le = glog.get(y[j])
-            if lt is not None and le is not None:
-                nlp = lp + lt
-                nlp += le
-                ops.append(("delete", j + 1))
-                history.append(StateUpdate("delete", (y[j],)))
-                walk(i, j + 1, "delete", nlp, ops, history)
+                ops.append((name,) + (ni,) * dx + (nj,) * dy)
+                history.append(StateUpdate(name, emitted))
+                walk(ni, nj, name, nlp, ops, history)
                 ops.pop()
                 history.pop()
 
@@ -529,18 +497,13 @@ def brute_force_align(
 def gapped_strings(
     x: Sequence[str], y: Sequence[str], alignment: Alignment, gap: str = "-"
 ) -> tuple[str, str]:
-    """Render the two sequences with gap characters for display."""
+    """Render the two sequences with gap characters for display; an unknown
+    operation raises ``ValueError``."""
     sep = "" if all(len(s) == 1 for s in tuple(x) + tuple(y)) else " "
     row_x: list[str] = []
     row_y: list[str] = []
     for op in alignment.ops:
-        if op[0] == "match":
-            row_x.append(x[op[1] - 1])
-            row_y.append(y[op[2] - 1])
-        elif op[0] == "insert":
-            row_x.append(x[op[1] - 1])
-            row_y.append(gap)
-        else:
-            row_x.append(gap)
-            row_y.append(y[op[1] - 1])
+        _, dx, dy, _ = _op_kind(op)
+        row_x.append(x[op[1] - 1] if dx else gap)
+        row_y.append(y[op[1 + dx] - 1] if dy else gap)
     return sep.join(row_x), sep.join(row_y)

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from chmm import format_model, parse_model, uniform_pair_params
+from chmm import constrained_viterbi, format_model, parse_model, uniform_pair_params
+from chmm import cli
 from chmm.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, main
 from chmm.modelio import MAX_INPUT_CHARS
 
@@ -203,6 +204,28 @@ class TestAlign:
         assert captured.out == ""
         assert captured.err == "error: line 4: duplicate field 'gap_open'\n"
 
+    @pytest.mark.parametrize(
+        "x_text, y_text, bad, message",
+        [
+            (">x\nAB\n", "\n", "y", "no FASTA records found"),
+            ("AB\n>x\nAB\n", ">y\nAB\n", "x", "line 1: sequence data before the first '>' header"),
+        ],
+        ids=["empty-y", "headless-x"],
+    )
+    def test_fasta_error_names_its_file(
+        self, pair_file, tmp_path, capsys, x_text, y_text, bad, message
+    ):
+        (tmp_path / "x.fa").write_text(x_text)
+        (tmp_path / "y.fa").write_text(y_text)
+        path = {"x": tmp_path / "x.fa", "y": tmp_path / "y.fa"}
+        code = main(
+            ["align", "--model", pair_file, "--x", str(path["x"]), "--y", str(path["y"])]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: {path[bad]}: {message}\n"
+
     def test_hmm_model_rejected_for_align(self, model_file, tmp_path, capsys):
         code = main(
             [
@@ -233,8 +256,14 @@ class TestOracleCheck:
         assert captured.out == ""
         assert captured.err == "error: instance count must be non-negative, got -5\n"
 
-    def test_sabotaged_decoder_is_caught(self, capsys):
-        code = main(["oracle-check", "--seed", "42", "--count", "25", "--sabotage"])
+    def test_sabotaged_decoder_is_caught(self, capsys, monkeypatch):
+        # Negative control for the oracle harness: a decoder that is subtly off.
+        def sabotaged(chmm, obs):
+            result = constrained_viterbi(chmm, obs)
+            return result and (result[0], result[1] + 1e-6)
+
+        monkeypatch.setattr(cli, "constrained_viterbi", sabotaged)
+        code = main(["oracle-check", "--seed", "42", "--count", "25"])
         out = capsys.readouterr().out
         assert code == EXIT_ERROR
         assert "failing instance" in out

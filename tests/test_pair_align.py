@@ -432,3 +432,98 @@ class TestDisplay:
     def test_state_string_round_trips(self):
         ops = ops_from_letters("bmmidm")
         assert Alignment(ops, 0.0).state_string == "bmmidm"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_letters_round_trip_and_gaps_removed_give_back_the_sequences(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            letters = "".join(rng.choice("mid") for _ in range(rng.randint(0, 12)))
+            ops = ops_from_letters(letters)
+            assert Alignment(ops, 0.0).state_string == "b" + letters
+            assert ops_from_letters(Alignment(ops, 0.0).state_string) == ops
+            nx = letters.count("m") + letters.count("i")
+            ny = letters.count("m") + letters.count("d")
+            x = "".join(rng.choice("ACGT") for _ in range(nx))
+            y = "".join(rng.choice("ACGT") for _ in range(ny))
+            gx, gy = gapped_strings(x, y, Alignment(ops, 0.0))
+            assert len(gx) == len(gy) == len(letters)
+            assert (gx.replace("-", ""), gy.replace("-", "")) == (x, y)
+
+    @pytest.mark.parametrize(
+        "ops",
+        [(("foo", 1),), (("match", 1, 1), ("insrt", 2)), ((["match"], 1, 1),)],
+        ids=["unknown", "unknown-after-match", "unhashable"],
+    )
+    def test_gapped_strings_rejects_an_unknown_operation(self, ops):
+        with pytest.raises(ValueError) as info:
+            gapped_strings("A", "C", Alignment(ops, 0.0))
+        assert str(info.value) == f"unknown alignment operation {ops[-1]!r}"
+
+
+def _score_ops(x, y, ops):
+    model = build_pair_chmm(uniform_pair_params(("A", "B")))
+    return alignment_log_probability(model, x, y, Alignment(ops, 0.0))
+
+
+class TestPairOperationErrors:
+    """Every message that a malformed letter string or operation list raises,
+    by full text."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ops_from_letters("mxd"), "unknown alignment letter 'x'"),
+            (
+                lambda: _score_ops("A", "A", (("foo", 1),)),
+                "unknown alignment operation ('foo', 1)",
+            ),
+            (
+                lambda: _score_ops("A", "A", ((["match"], 1, 1),)),
+                "unknown alignment operation (['match'], 1, 1)",
+            ),
+            (
+                lambda: _score_ops("A", "A", (("match", 2, 1),)),
+                "operation ('match', 2, 1) out of order (expected ('match', 1, 1))",
+            ),
+            (
+                lambda: _score_ops("AB", "", (("insert", 1), ("insert", 1))),
+                "operation ('insert', 1) out of order (expected ('insert', 2))",
+            ),
+            (
+                lambda: _score_ops("", "A", (("delete", 1, 1),)),
+                "operation ('delete', 1, 1) out of order (expected ('delete', 1))",
+            ),
+            (
+                lambda: _score_ops("A", "", (("match", 1, 1),)),
+                "operation ('match', 1, 1) consumes beyond the sequences",
+            ),
+            (
+                lambda: _score_ops("", "A", (("insert", 1),)),
+                "operation ('insert', 1) consumes beyond sequence x",
+            ),
+            (
+                lambda: _score_ops("A", "", (("delete", 1),)),
+                "operation ('delete', 1) consumes beyond sequence y",
+            ),
+            (
+                lambda: _score_ops("AB", "A", (("match", 1, 1),)),
+                "alignment consumes 1 of 2 x-symbols and 1 of 1 y-symbols",
+            ),
+        ],
+        ids=[
+            "unknown-letter",
+            "unknown-operation",
+            "unhashable-operation",
+            "match-out-of-order",
+            "insert-out-of-order",
+            "delete-out-of-order",
+            "match-beyond",
+            "insert-beyond",
+            "delete-beyond",
+            "short-consumption",
+        ],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
