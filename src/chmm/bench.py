@@ -9,8 +9,11 @@ Three built-in experiments:
 * ``prune-ablation``: alldiff-constrained decoding with and without
   (state, store)-group pruning.
 
-Inputs are generated from a fixed seed, so every column except wall time is
-byte-identical across runs.
+Each experiment yields one ``(size, variants)`` pair per size, and
+``run_experiment`` times them: every variant gets one untimed warmup run,
+then the variants of a size alternate rep by rep. Every size runs every
+variant; there is no time cap. Inputs are generated from a fixed seed, so
+every column except wall time is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -19,37 +22,25 @@ import gc
 import random
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import astuple, dataclass, fields, replace
+from typing import Callable, Iterator
 
 from .constraints import AllDiff, Cardinality, StateSpecific, UpdatePattern
 from .decoder import Chmm, DecodeStats, constrained_viterbi
 from .hmm import Hmm
 from .pairhmm import PairHmmParams, align, align_plain, build_pair_chmm
 
-EXPERIMENTS = ("length-scaling", "budget-scaling", "prune-ablation")
-
 LENGTHS = (16, 32, 64, 128)
 BUDGETS = (32, 16, 8, 4, 2)
 BUDGET_LENGTH = 32
 ABLATION_LENGTHS = (4, 6, 8, 10)
-# Once one unpruned probe takes longer than this, longer lengths skip it.
-ABLATION_TIME_CAP_S = 60.0
 DEFAULT_SEED = 20100
 DEFAULT_REPS = 7
 
-CSV_COLUMNS = (
-    "experiment",
-    "variant",
-    "size",
-    "rep",
-    "wall_ms",
-    "peak_table_entries",
-    "expansions",
-    "prunes",
-)
-
 _BENCH_ALPHABET = ("A", "C", "G", "T")
+
+# One size of an experiment: variant name -> a run that fills in its stats.
+Variants = dict[str, Callable[[DecodeStats], object]]
 
 
 @dataclass
@@ -65,17 +56,12 @@ class BenchRow:
 
     def csv(self) -> str:
         return ",".join(
-            (
-                self.experiment,
-                self.variant,
-                str(self.size),
-                self.rep,
-                f"{self.wall_ms:.3f}",
-                str(self.peak_table_entries),
-                str(self.expansions),
-                str(self.prunes),
-            )
+            f"{value:.3f}" if isinstance(value, float) else str(value)
+            for value in astuple(self)
         )
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 def bench_pair_params() -> PairHmmParams:
@@ -114,12 +100,7 @@ def _timed(fn: Callable[[DecodeStats], object]) -> tuple[float, DecodeStats]:
     return elapsed_ms, stats
 
 
-def _measure(
-    experiment: str,
-    size: int,
-    reps: int,
-    variants: dict[str, Callable[[DecodeStats], object]],
-) -> list[BenchRow]:
+def _measure(experiment: str, size: int, reps: int, variants: Variants) -> list[BenchRow]:
     """Rows for ``reps`` timed runs of each variant plus a median row, grouped
     by variant. The runs alternate between the variants rep by rep, so a
     burst of load on the machine slows every variant of a size alike; the
@@ -147,43 +128,20 @@ def _measure(
         ]
         median = statistics.median(r.wall_ms for r in group)
         rows.extend(group)
-        rows.append(
-            BenchRow(
-                experiment,
-                variant,
-                size,
-                "median",
-                median,
-                group[0].peak_table_entries,
-                group[0].expansions,
-                group[0].prunes,
-            )
-        )
+        rows.append(replace(group[0], rep="median", wall_ms=median))
     return rows
 
 
-def length_scaling(
-    seed: int = DEFAULT_SEED, reps: int = DEFAULT_REPS, lengths=LENGTHS
-) -> list[BenchRow]:
-    rng = random.Random(seed)
+def length_scaling(rng: random.Random, lengths=LENGTHS) -> Iterator[tuple[int, Variants]]:
     params = bench_pair_params()
     empty = build_pair_chmm(params, ())
-    rows: list[BenchRow] = []
     for length in lengths:
         x = _random_sequence(rng, length)
         y = _random_sequence(rng, length)
-        rows.extend(
-            _measure(
-                "length-scaling",
-                length,
-                reps,
-                {
-                    "plain": lambda st: align_plain(params, x, y, stats=st),
-                    "constrained-empty": lambda st: align(empty, x, y, stats=st),
-                },
-            )
-        )
-    return rows
+        yield length, {
+            "plain": lambda st: align_plain(params, x, y, stats=st),
+            "constrained-empty": lambda st: align(empty, x, y, stats=st),
+        }
 
 
 def indel_budget_constraint(budget: int) -> StateSpecific:
@@ -193,27 +151,14 @@ def indel_budget_constraint(budget: int) -> StateSpecific:
 
 
 def budget_scaling(
-    seed: int = DEFAULT_SEED,
-    reps: int = DEFAULT_REPS,
-    budgets=BUDGETS,
-    length: int = BUDGET_LENGTH,
-) -> list[BenchRow]:
-    rng = random.Random(seed)
+    rng: random.Random, budgets=BUDGETS, length: int = BUDGET_LENGTH
+) -> Iterator[tuple[int, Variants]]:
     params = bench_pair_params()
     x = _random_sequence(rng, length)
     y = _random_sequence(rng, length)
-    rows: list[BenchRow] = []
     for budget in budgets:
         model = build_pair_chmm(params, (indel_budget_constraint(budget),))
-        rows.extend(
-            _measure(
-                "budget-scaling",
-                budget,
-                reps,
-                {"indel-budget": lambda st: align(model, x, y, stats=st)},
-            )
-        )
-    return rows
+        yield budget, {"indel-budget": lambda st: align(model, x, y, stats=st)}
 
 
 def ablation_model() -> Hmm:
@@ -232,58 +177,35 @@ def ablation_model() -> Hmm:
     )
 
 
-def ablation_observation(length: int) -> tuple[str, ...]:
-    return tuple("ab"[i % 2] for i in range(length))
-
-
-def prune_ablation(reps: int = DEFAULT_REPS, lengths=ABLATION_LENGTHS) -> list[BenchRow]:
-    # The inputs are fixed, so the experiment takes no seed.
+def prune_ablation(_rng: random.Random, lengths=ABLATION_LENGTHS) -> Iterator[tuple[int, Variants]]:
+    # The observations alternate a and b; the inputs are fixed, so the
+    # experiment draws nothing from the seeded generator.
     chmm = Chmm(ablation_model(), (AllDiff(),))
-    rows: list[BenchRow] = []
-    unpruned_over_cap = False
     for length in lengths:
-        obs = ablation_observation(length)
-        rows.extend(
-            _measure(
-                "prune-ablation",
-                length,
-                reps,
-                {"pruned": lambda st: constrained_viterbi(chmm, obs, stats=st)},
-            )
-        )
-        if unpruned_over_cap:
-            continue
-        probe_ms, _ = _timed(
-            lambda st: constrained_viterbi(chmm, obs, prune=False, stats=st)
-        )
-        if probe_ms > ABLATION_TIME_CAP_S * 1000.0:
-            unpruned_over_cap = True
-            continue
-        rows.extend(
-            _measure(
-                "prune-ablation",
-                length,
-                reps,
-                {
-                    "unpruned": lambda st: constrained_viterbi(
-                        chmm, obs, prune=False, stats=st
-                    )
-                },
-            )
-        )
-    return rows
+        obs = tuple("ab"[i % 2] for i in range(length))
+        yield length, {
+            "pruned": lambda st: constrained_viterbi(chmm, obs, stats=st),
+            "unpruned": lambda st: constrained_viterbi(chmm, obs, prune=False, stats=st),
+        }
+
+
+EXPERIMENTS = {
+    "length-scaling": length_scaling,
+    "budget-scaling": budget_scaling,
+    "prune-ablation": prune_ablation,
+}
 
 
 def run_experiment(name: str, seed: int = DEFAULT_SEED, reps: int = DEFAULT_REPS, **kw) -> list[BenchRow]:
+    """Time every size of one experiment; ``kw`` overrides its sizes."""
     if reps < 3:
         raise ValueError("benchmarks need at least 3 repetitions")
-    if name == "length-scaling":
-        return length_scaling(seed, reps, **kw)
-    if name == "budget-scaling":
-        return budget_scaling(seed, reps, **kw)
-    if name == "prune-ablation":
-        return prune_ablation(reps, **kw)
-    raise ValueError(f"unknown experiment {name!r} (choose from {', '.join(EXPERIMENTS)})")
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r} (choose from {', '.join(EXPERIMENTS)})")
+    rows: list[BenchRow] = []
+    for size, variants in EXPERIMENTS[name](random.Random(seed), **kw):
+        rows.extend(_measure(name, size, reps, variants))
+    return rows
 
 
 def to_csv(rows: list[BenchRow]) -> str:

@@ -375,8 +375,10 @@ def align_plain(
     delete score and the state each came from; a tie goes to the first of
     match, insert and delete. As the benchmark baseline and the independent
     reference for the empty-constraint case, it stays apart from the
-    decoder's lattice kernel on purpose.
+    decoder's lattice kernel on purpose. Invalid params raise
+    ``ValueError("invalid pair model: ...")``, as ``PairChmm`` does.
     """
+    PairChmm(params)  # validates the params
     _check_symbols(params.alphabet, x, y)
     x = tuple(x)
     y = tuple(y)
@@ -497,13 +499,14 @@ def brute_force_align(
 def gapped_strings(
     x: Sequence[str], y: Sequence[str], alignment: Alignment, gap: str = "-"
 ) -> tuple[str, str]:
-    """Render the two sequences with gap characters for display; an unknown
-    operation raises ``ValueError``."""
+    """Render the two sequences with gap characters for display. Operations
+    that are unknown, out of order, past either end, or that leave a symbol
+    unconsumed raise ``ValueError``, as in ``alignment_log_probability``."""
     sep = "" if all(len(s) == 1 for s in tuple(x) + tuple(y)) else " "
     row_x: list[str] = []
     row_y: list[str] = []
-    for op in alignment.ops:
+    for op, update in zip(alignment.ops, _walk_ops(x, y, alignment.ops)):
         _, dx, dy, _ = _op_kind(op)
-        row_x.append(x[op[1] - 1] if dx else gap)
-        row_y.append(y[op[1 + dx] - 1] if dy else gap)
+        row_x.append(update.emitted[0] if dx else gap)
+        row_y.append(update.emitted[-1] if dy else gap)
     return sep.join(row_x), sep.join(row_y)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .constraints import (
     AllDiff,
@@ -190,12 +190,8 @@ def _fixture_dump(chmm: Chmm, obs, expected, got) -> str:
     return "\n".join(lines)
 
 
-def check_one_instance(
-    chmm: Chmm,
-    obs: Sequence[str],
-    decode: Callable = constrained_viterbi,
-) -> Optional[str]:
-    """Compare a decoder against brute force on one instance.
+def check_one_instance(chmm: Chmm, obs: Sequence[str]) -> Optional[str]:
+    """Compare ``constrained_viterbi`` against brute force on one instance.
 
     Returns ``None`` on agreement, otherwise a reproducible fixture dump.
     Agreement covers presence, log-probability within 1e-9, and that the
@@ -203,7 +199,7 @@ def check_one_instance(
     score is exact.
     """
     expected = brute_force_constrained(chmm, obs)
-    got = decode(chmm, obs)
+    got = constrained_viterbi(chmm, obs)
     if (expected is None) != (got is None):
         return _fixture_dump(chmm, obs, expected, got)
     if expected is None:
@@ -219,11 +215,7 @@ def check_one_instance(
     return None
 
 
-def oracle_check(
-    seed: int,
-    count: int,
-    decode: Callable = constrained_viterbi,
-) -> OracleReport:
+def oracle_check(seed: int, count: int) -> OracleReport:
     """Run ``count`` random instances of up to 8 observations through
     ``check_one_instance``."""
     if count < 0:
@@ -233,7 +225,7 @@ def oracle_check(
     for _ in range(count):
         chmm, obs = random_chmm_instance(rng)
         report.total += 1
-        failure = check_one_instance(chmm, obs, decode)
+        failure = check_one_instance(chmm, obs)
         if failure is None:
             report.passed += 1
         else:

@@ -54,9 +54,17 @@ def test_counters_are_deterministic_across_reps():
     assert len(peaks) == 1
 
 
-def test_csv_identical_across_runs_excluding_timing():
-    first = to_csv(run_experiment("length-scaling", reps=3, lengths=(4, 8)))
-    second = to_csv(run_experiment("length-scaling", reps=3, lengths=(4, 8)))
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        ("length-scaling", {"lengths": (4, 8)}),
+        ("budget-scaling", {"budgets": (4, 2), "length": 8}),
+        ("prune-ablation", {"lengths": (4, 6)}),
+    ],
+)
+def test_csv_identical_across_runs_excluding_timing(name, sizes):
+    first = to_csv(run_experiment(name, reps=3, **sizes))
+    second = to_csv(run_experiment(name, reps=3, **sizes))
     assert strip_timing(first) == strip_timing(second)
 
 
@@ -71,6 +79,27 @@ def test_length_scaling_alternates_variants_rep_by_rep(monkeypatch):
     assert [(r.variant, r.rep) for r in rows] == [
         (variant, rep)
         for variant in ("plain", "constrained-empty")
+        for rep in ("0", "1", "2", "median")
+    ]
+
+
+def test_prune_ablation_alternates_variants_rep_by_rep(monkeypatch):
+    # The pruned/unpruned ratio is the ablation's result, so both variants of
+    # a length share each stretch of machine load, as in length-scaling.
+    calls = []
+    monkeypatch.setattr(
+        bench,
+        "constrained_viterbi",
+        lambda chmm, obs, prune=True, stats=None: calls.append(
+            "pruned" if prune else "unpruned"
+        ),
+    )
+    reps = 3
+    rows = run_experiment("prune-ablation", reps=reps, lengths=(4,))
+    assert calls == ["pruned", "unpruned"] * (reps + 1)  # one untimed warmup each
+    assert [(r.variant, r.rep) for r in rows] == [
+        (variant, rep)
+        for variant in ("pruned", "unpruned")
         for rep in ("0", "1", "2", "median")
     ]
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from chmm import constrained_viterbi, format_model, parse_model, uniform_pair_params
-from chmm import cli
+from chmm import random_instances
 from chmm.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, main
 from chmm.modelio import MAX_INPUT_CHARS
 
@@ -262,7 +262,7 @@ class TestOracleCheck:
             result = constrained_viterbi(chmm, obs)
             return result and (result[0], result[1] + 1e-6)
 
-        monkeypatch.setattr(cli, "constrained_viterbi", sabotaged)
+        monkeypatch.setattr(random_instances, "constrained_viterbi", sabotaged)
         code = main(["oracle-check", "--seed", "42", "--count", "25"])
         out = capsys.readouterr().out
         assert code == EXIT_ERROR

@@ -417,6 +417,45 @@ class TestParsing:
             with pytest.raises(ConstraintSyntaxError, match="nests deeper"):
                 parse_constraint(nested(depth))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alldiff$", "unexpected character '$' in constraint"),
+            ("cardinality([x],", "constraint text ended unexpectedly"),
+            ("alldiff(x)", "expected ')', got 'x'"),
+            ("alldiff alldiff", "trailing input from 'alldiff'"),
+            ("cardinality([x],y)", "expected an integer, got 'y'"),
+            (
+                "state_specific(" * (MAX_NESTING_DEPTH + 1) + "alldiff" + ")" * (MAX_NESTING_DEPTH + 1),
+                f"constraint nests deeper than {MAX_NESTING_DEPTH} levels",
+            ),
+            ("nope", "unknown constraint name 'nope'"),
+            ("lock_to_set([a b])", "expected ',' or ']', got 'b'"),
+            ("lock_to_set([(1,a)])", "bad state '1' in pattern"),
+            ("lock_to_set([(a b)])", "expected ',' or ')', got 'b'"),
+            ("lock_to_set([(a,_)])", "bad emission symbol '_' in pattern"),
+            ("lock_to_set([1])", "bad pattern '1'"),
+        ],
+        ids=[
+            "character",
+            "ended",
+            "expected-token",
+            "trailing",
+            "integer",
+            "nesting",
+            "name",
+            "list-separator",
+            "state",
+            "tuple-separator",
+            "emission",
+            "pattern",
+        ],
+    )
+    def test_syntax_error_message(self, text, message):
+        with pytest.raises(ConstraintSyntaxError) as info:
+            parse_constraint(text)
+        assert str(info.value) == message
+
     def test_semantic_validation_applies_after_parse(self):
         with pytest.raises(ValueError, match="for_range"):
             parse_constraint("for_range(5,2,alldiff)")

@@ -392,6 +392,14 @@ class TestAlignPlain:
             assert alignment_log_probability(model, x, y, plain) == plain.log_prob
         assert found >= 200
 
+    def test_invalid_params_raise_as_for_the_constrained_model(self):
+        params = PairHmmParams(("A", "B"), 0.7, 0.1, ((0.25, 0.25), (0.25, 0.25)), (0.5, 0.5))
+        message = "invalid pair model: gap_open 0.7 makes the match row negative (2*gap_open > 1)"
+        for call in (lambda: align_plain(params, "AB", "AB"), lambda: PairChmm(params)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
 
 class TestBruteForceAlign:
     def test_three_alignments_of_single_symbols(self):
@@ -458,6 +466,29 @@ class TestDisplay:
         with pytest.raises(ValueError) as info:
             gapped_strings("A", "C", Alignment(ops, 0.0))
         assert str(info.value) == f"unknown alignment operation {ops[-1]!r}"
+
+    @pytest.mark.parametrize(
+        "x, y, ops, message",
+        [
+            (
+                "AB",
+                "C",
+                (("insert", 2), ("delete", 1)),
+                "operation ('insert', 2) out of order (expected ('insert', 1))",
+            ),
+            (
+                "AB",
+                "C",
+                (("match", 5, 1),),
+                "operation ('match', 5, 1) out of order (expected ('match', 1, 1))",
+            ),
+        ],
+        ids=["skips-x1", "past-the-end"],
+    )
+    def test_gapped_strings_rejects_misplaced_operations(self, x, y, ops, message):
+        with pytest.raises(ValueError) as info:
+            gapped_strings(x, y, Alignment(ops, 0.0))
+        assert str(info.value) == message
 
 
 def _score_ops(x, y, ops):
