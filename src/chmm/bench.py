@@ -23,6 +23,7 @@ import random
 import statistics
 import time
 from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
 from typing import Callable, Iterator
 
 from .constraints import AllDiff, Cardinality, StateSpecific, UpdatePattern
@@ -39,8 +40,8 @@ DEFAULT_REPS = 7
 
 _BENCH_ALPHABET = ("A", "C", "G", "T")
 
-# One size of an experiment: variant name -> a run that fills in its stats.
-Variants = dict[str, Callable[[DecodeStats], object]]
+# One size of an experiment: variant name -> a run on that size's inputs (``stats=``).
+Variants = dict[str, Callable[..., object]]
 
 
 @dataclass
@@ -83,7 +84,7 @@ def _random_sequence(rng: random.Random, length: int) -> tuple[str, ...]:
     return tuple(rng.choice(_BENCH_ALPHABET) for _ in range(length))
 
 
-def _timed(fn: Callable[[DecodeStats], object]) -> tuple[float, DecodeStats]:
+def _timed(fn: Callable[..., object]) -> tuple[float, DecodeStats]:
     # Collector pauses would otherwise charge whatever garbage earlier runs
     # left behind to whichever measurement happens to trigger them.
     stats = DecodeStats()
@@ -92,7 +93,7 @@ def _timed(fn: Callable[[DecodeStats], object]) -> tuple[float, DecodeStats]:
     gc.disable()
     try:
         start = time.perf_counter()
-        fn(stats)
+        fn(stats=stats)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
     finally:
         if was_enabled:
@@ -106,7 +107,7 @@ def _measure(experiment: str, size: int, reps: int, variants: Variants) -> list[
     burst of load on the machine slows every variant of a size alike; the
     ratios between variants (acceptance criterion 4) depend on that."""
     for fn in variants.values():
-        fn(DecodeStats())  # warmup, untimed
+        fn(stats=DecodeStats())  # warmup, untimed
     runs: dict[str, list] = {variant: [] for variant in variants}
     for _rep in range(reps):
         for variant, fn in variants.items():
@@ -139,8 +140,8 @@ def length_scaling(rng: random.Random, lengths=LENGTHS) -> Iterator[tuple[int, V
         x = _random_sequence(rng, length)
         y = _random_sequence(rng, length)
         yield length, {
-            "plain": lambda st: align_plain(params, x, y, stats=st),
-            "constrained-empty": lambda st: align(empty, x, y, stats=st),
+            "plain": partial(align_plain, params, x, y),
+            "constrained-empty": partial(align, empty, x, y),
         }
 
 
@@ -158,7 +159,7 @@ def budget_scaling(
     y = _random_sequence(rng, length)
     for budget in budgets:
         model = build_pair_chmm(params, (indel_budget_constraint(budget),))
-        yield budget, {"indel-budget": lambda st: align(model, x, y, stats=st)}
+        yield budget, {"indel-budget": partial(align, model, x, y)}
 
 
 def ablation_model() -> Hmm:
@@ -184,8 +185,8 @@ def prune_ablation(_rng: random.Random, lengths=ABLATION_LENGTHS) -> Iterator[tu
     for length in lengths:
         obs = tuple("ab"[i % 2] for i in range(length))
         yield length, {
-            "pruned": lambda st: constrained_viterbi(chmm, obs, stats=st),
-            "unpruned": lambda st: constrained_viterbi(chmm, obs, prune=False, stats=st),
+            "pruned": partial(constrained_viterbi, chmm, obs),
+            "unpruned": partial(constrained_viterbi, chmm, obs, prune=False),
         }
 
 

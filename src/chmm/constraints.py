@@ -228,6 +228,15 @@ class _Checker(NamedTuple):
 
     init: object
     step: Callable
+    limit: Optional[tuple] = None  # for store_limit: its states and room(store)
+
+
+def store_limit(spec: ConstraintSpec, store) -> Optional[tuple]:
+    """``(states, room)`` or None: no extension entering ``states`` (None: all)
+    over ``room`` times satisfies ``spec``. ``Cardinality`` limits its unpinned
+    patterns' states, ``LockToSequence`` all and ``StateSpecific`` its child's."""
+    limit = _checker(spec).limit
+    return limit and (limit[0], limit[1](store))
 
 
 def _checker(spec) -> _Checker:
@@ -257,7 +266,9 @@ def _compile(spec) -> _Checker:
                 return count if count <= bound else None
             return count
 
-        return _Checker(0, cardinality)
+        unpinned = {p.state for p in patterns if p.emitted is None}
+        states = None if None in unpinned else frozenset(unpinned)
+        return _Checker(0, cardinality, (states, bound.__sub__) if unpinned else None)
     if isinstance(spec, AllDiff):
 
         def alldiff(seen, update):
@@ -279,7 +290,7 @@ def _compile(spec) -> _Checker:
                 return None
             return pos + 1
 
-        return _Checker(1, lock_to_sequence)
+        return _Checker(1, lock_to_sequence, (None, lambda pos: size - pos + 1))
     if isinstance(spec, LockToSet):
         allowed = spec.allowed
 
@@ -294,7 +305,7 @@ def _compile(spec) -> _Checker:
             raise ValueError(
                 f"for_range requires 1 <= first <= last, got ({first}, {last})"
             )
-        child_init, child_step = _checker(spec.child)
+        child_init, child_step, _ = _checker(spec.child)
 
         def for_range(store, update):
             pos, child = store
@@ -310,7 +321,7 @@ def _compile(spec) -> _Checker:
         if window < 1:
             raise ValueError(f"forall_subseq window must be >= 1, got {window}")
         full = window - 1
-        child_init, child_step = _checker(spec.child)
+        child_init, child_step, _ = _checker(spec.child)
 
         def forall_subseq(windows, update):
             # The store holds the child stores of the open windows, oldest
@@ -331,12 +342,12 @@ def _compile(spec) -> _Checker:
 
         return _Checker((), forall_subseq)
     if isinstance(spec, StateSpecific):
-        child_init, child_step = _checker(spec.child)
+        child_init, child_step, child_limit = _checker(spec.child)
 
         def state_specific(store, update):
             return child_step(store, project_to_state(update))
 
-        return _Checker(child_init, state_specific)
+        return _Checker(child_init, state_specific, child_limit)
     raise ValueError(f"unknown constraint form: {spec!r}")
 
 

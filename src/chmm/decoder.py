@@ -26,6 +26,12 @@ an arc is only ever a recorded ``check_constraints`` result. With
 ``prune=False`` no arc is recorded and every candidate is checked again, so
 that search stays the undeduplicated baseline.
 
+Checkers ignore the updates the lattice forces, so ``align`` hands over
+what is left with each cell and the kernel stores no new key whose store
+has less ``store_limit`` room than any path to the sink needs (forward
+checking, Haralick & Elliott 1980). No such entry or extension finishes, and
+the test reads only store and node, so results and ties hold.
+
 The caller's lattice holds the tables its later nodes read (the last level
 in ``constrained_viterbi``, the last two anti-diagonals in ``align``) and
 hands them to the kernel with each node. The winners of dropped tables stay
@@ -56,6 +62,7 @@ from .constraints import (
     check_constraints,
     declarative_satisfies,
     init_aggregate,
+    store_limit,
     validate_spec,
 )
 from .hmm import NEG_INF, Hmm, Run, run_log_probability, validate_model
@@ -89,11 +96,11 @@ class DecodeStats:
     """Counters for benchmarking.
 
     ``expansions`` counts accepted expansions and ``prunes`` the expansions
-    merged into an existing entry with an equal (state, store) key.
-    ``peak_entries`` is the number of table entries stored over the whole
-    lattice walk; finished tables are released as the walk goes, so it is an
-    upper bound on the entries held at once, not their count. Over several
-    decodes into one ``DecodeStats`` it keeps the largest walk's count.
+    merged into an existing entry with an equal (state, store) key; the
+    candidates the lookahead drops are neither stored nor counted.
+    ``peak_entries`` is the number of entries stored over the whole lattice
+    walk, an upper bound on those held at once, as finished tables are
+    released; over several decodes it keeps the largest walk's count.
     ``stores`` is the number of interned constraint stores and ``checks``
     the number of ``check_constraints`` calls, i.e. the automaton's misses.
     """
@@ -113,13 +120,23 @@ class _StoreAutomaton:
     from store i, or -1 where a checker rejects it; the kernel records them.
     """
 
-    def __init__(self, specs):
+    def __init__(self, specs, lookahead=False):
         start = init_aggregate(specs)
         self.specs = specs
         self.stores = [start]
         self.ids = {start: 0}
         self.arcs: list[dict] = [{}]
         self.checks = 0
+        # Lookahead: limited state set (None: all) -> (its specs, least room by id).
+        self.limits: dict = {}
+        for k, part in enumerate(start):
+            if limit := lookahead and store_limit(specs[k], part):
+                self.limits.setdefault(limit[0], ([], []))[0].append(k)
+        self._add_rooms(start)
+
+    def _add_rooms(self, store):
+        for ks, rooms in self.limits.values():
+            rooms.append(min(store_limit(self.specs[k], store[k])[1] for k in ks))
 
     def check(self, sid: int, update: StateUpdate) -> int:
         """Id of the store ``update`` leads to from store ``sid``, or -1,
@@ -134,27 +151,32 @@ class _StoreAutomaton:
             nid = self.ids[store] = len(self.stores)
             self.stores.append(store)
             self.arcs.append({})
+            self._add_rooms(store)
         return nid
 
 
-def _lattice_viterbi(specs, trans_log, lattice, prune, stats):
+def _lattice_viterbi(specs, trans_log, lattice, prune, stats, fewest=None):
     """Best constraint-satisfying path through a lattice, source to sink.
 
     ``trans_log[s][t]`` is the log transition probability from state index s
     to t, or None where the transition is impossible. The source table holds
     state 0 with the initial stores. ``lattice(source_table)`` yields the
-    further nodes in topological order as ``(table, edges)``: a fresh dict
-    for the kernel to fill, and edges ``(predecessor's table, moves)``, each
+    further nodes in topological order as ``(table, edges, left)``: a fresh
+    dict for the kernel to fill, edges ``(predecessor's table, moves)``, each
     move ``(t, emit_log, update)`` entering state t with emission
-    log-probability ``emit_log`` and constraint update ``update``. The last
-    node yielded, or the source if none is, is the sink. Each node keeps one
+    log-probability ``emit_log`` and constraint update ``update``, and what
+    is left after the node, which only ``fewest`` reads. The last node
+    yielded, or the source if none is, is the sink. Each node keeps one
     entry per (state, store) key, merged by the tie rule in the module
     docstring; with ``prune=False`` every candidate gets a key of its own
     and its own ``check_constraints`` call, so nothing merges and nothing is
     cached. Returns ``(log_prob, states)``, the states the best path enters
-    after the source, in order, or None.
+    after the source, in order, or None. For the lookahead (only with
+    ``prune``), ``fewest(states)`` is None or a function of ``left``: the
+    fewest updates into ``states`` (names; None for all) after the node.
     """
-    automaton = _StoreAutomaton(specs)
+    automaton = _StoreAutomaton(specs, prune and fewest is not None)
+    ahead = [(r, f) for states, (_, r) in automaton.limits.items() if (f := fewest(states))]
     arcs = automaton.arcs
     check = automaton.check
     width = len(trans_log)
@@ -163,7 +185,8 @@ def _lattice_viterbi(specs, trans_log, lattice, prune, stats):
     table = {0: (0.0, 0, 0, None)}
     total = 1
     merges = 0
-    for table, edges in lattice(table):
+    for table, edges, left in lattice(table):
+        needs = ahead and [(rooms, f(left)) for rooms, f in ahead]
         for parents, moves in edges:
             for parent in parents.values():
                 plp, s, sid, _parent = parent
@@ -188,7 +211,11 @@ def _lattice_viterbi(specs, trans_log, lattice, prune, stats):
                     key = nid * width + t
                     old = table.get(key)
                     if old is None:
-                        table[key] = (nlp, t, nid, parent)
+                        for rooms, need in needs:
+                            if rooms[nid] < need:
+                                break  # the store cannot finish from this node
+                        else:
+                            table[key] = (nlp, t, nid, parent)
                     else:
                         merges += 1
                         if nlp > old[0]:
@@ -264,7 +291,7 @@ def constrained_viterbi(
     def levels(table):
         for e in obs:
             pred, table = table, {}
-            yield table, ((pred, moves[e]),)
+            yield table, ((pred, moves[e]),), None
 
     result = _lattice_viterbi(chmm.constraints, trans_log, levels, prune, stats)
     if result is None:

@@ -44,6 +44,11 @@ _PAIR_OPS = (
     ("delete", 0, 1, "sequence y"),
 )
 PAIR_STATES = ("begin",) + tuple(op[0] for op in _PAIR_OPS)
+# Ops shared by ops_from_letters, emptied once it holds over _SHARED_OPS_MAX.
+# One pass over perfbench's align-budget or align-open menu makes at most 379
+# or 693 distinct ops (seeds 1-3), so the cap holds either with room.
+_SHARED_OPS: dict[tuple, tuple] = {}
+_SHARED_OPS_MAX = 1 << 10
 
 # 20 standard amino acids plus selenocysteine.
 AMINO_ACIDS = tuple("ACDEFGHIKLMNPQRSTUVWY")
@@ -206,7 +211,10 @@ class Alignment:
 
 def ops_from_letters(letters: str) -> tuple[tuple, ...]:
     """Build an operation list from a state annotation such as
-    ``"b i i m m d"`` or ``"biimmd"`` (the begin marker is optional)."""
+    ``"b i i m m d"`` or ``"biimmd"`` (the begin marker is optional). Equal
+    operations are shared between calls, so kept alignments hold each once."""
+    if len(_SHARED_OPS) > _SHARED_OPS_MAX:
+        _SHARED_OPS.clear()
     seq = letters.replace(" ", "")
     if seq.startswith("b"):
         seq = seq[1:]
@@ -219,7 +227,8 @@ def ops_from_letters(letters: str) -> tuple[tuple, ...]:
         name, dx, dy = kinds[ch]
         i += dx
         j += dy
-        ops.append((name,) + (i,) * dx + (j,) * dy)
+        op = (name,) + (i,) * dx + (j,) * dy
+        ops.append(_SHARED_OPS.setdefault(op, op))
     return tuple(ops)
 
 
@@ -297,15 +306,15 @@ def align(
 ) -> Optional[Alignment]:
     """Best constraint-satisfying global alignment of x and y, or ``None``.
 
-    Runs the decoder's lattice kernel with one node per (consumed x, consumed
-    y) cell, processed along anti-diagonals, and one best entry per (state,
-    constraint store) key in each cell. Only the last two anti-diagonals'
-    tables are held, by i, so predecessors are found by index. Ties follow the kernel's rule: the
-    candidate generated first wins, and a cell's candidates are generated
-    from its match, insert and delete predecessors in that order. Ties are
-    broken where partial alignments merge, so two alignments whose complete
-    scores are bit-identical can still lose to one another by a last-bit
-    difference of their partial sums.
+    Runs the decoder's lattice kernel along anti-diagonals, one node per
+    (consumed x, consumed y) cell and one best entry per (state, constraint
+    store) key in each. Only the last two anti-diagonals' tables are held, by
+    i, so predecessors are found by index; a cell none of whose predecessors
+    holds an entry is skipped, unless it is the last. Ties follow the
+    kernel's rule: the candidate generated first wins, and a cell's
+    candidates come from its match, insert and delete predecessors in that
+    order. Ties are broken where partial alignments merge, so alignments with
+    bit-identical scores can still lose by a last-bit partial-sum difference.
     """
     _check_symbols(model.params.alphabet, x, y)
     x = tuple(x)
@@ -327,9 +336,16 @@ def align(
         for s, (name, dx, dy, _) in enumerate(_PAIR_OPS, 1)
     )
 
+    def fewest(states):
+        # Left (rx, ry): m <= min(rx, ry) matches, rx - m inserts, ry - m deletes.
+        wm, wi, wd = (states is None or op[0] in states for op in _PAIR_OPS)
+        if wi or wd:
+            c = min(0, wm - wi - wd)
+            return lambda left: wi * left[0] + wd * left[1] + c * min(left)
+
     def diagonals(source):
-        # The tables of anti-diagonals i + j = t - 2 and t - 1, by i; None
-        # stands where a diagonal has no cell and is never read.
+        # The tables of anti-diagonals i + j = t - 2 and t - 1, by i, or None for
+        # a cell not yielded: one with no edge from a non-empty table, bar the sink.
         before, last = [None] * (nx + 1), [None] * (nx + 1)
         last[0] = source
         for t in range(1, nx + ny + 1):
@@ -337,23 +353,24 @@ def align(
             for i in range(max(0, t - ny), min(t, nx) + 1):
                 j = t - i
                 edges = []
-                if i >= 1 and j >= 1:
+                if i and j and (pred := before[i - 1]):
                     moves = match_moves.get((x[i - 1], y[j - 1]))
                     if moves:
-                        edges.append((before[i - 1], moves))
-                if i >= 1:
+                        edges.append((pred, moves))
+                if i and (pred := last[i - 1]):
                     moves = insert_moves.get(x[i - 1])
                     if moves:
-                        edges.append((last[i - 1], moves))
-                if j >= 1:
+                        edges.append((pred, moves))
+                if j and (pred := last[i]):
                     moves = delete_moves.get(y[j - 1])
                     if moves:
-                        edges.append((last[i], moves))
-                row[i] = table = {}
-                yield table, edges
+                        edges.append((pred, moves))
+                if edges or t == nx + ny:
+                    row[i] = table = {}
+                    yield table, edges, (nx - i, ny - j)
             before, last = last, row
 
-    result = _lattice_viterbi(model.constraints, trans, diagonals, True, stats)
+    result = _lattice_viterbi(model.constraints, trans, diagonals, True, stats, fewest)
     if result is None:
         return None
     log_prob, states = result

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chmm import bench
@@ -66,6 +68,31 @@ def test_csv_identical_across_runs_excluding_timing(name, sizes):
     first = to_csv(run_experiment(name, reps=3, **sizes))
     second = to_csv(run_experiment(name, reps=3, **sizes))
     assert strip_timing(first) == strip_timing(second)
+
+
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        ("length-scaling", {"lengths": (4, 8)}),
+        ("budget-scaling", {"budgets": (4, 1), "length": 12}),
+        ("prune-ablation", {"lengths": (4, 6)}),
+    ],
+)
+def test_variants_run_their_own_size_after_the_generator_moves_on(name, sizes):
+    # Each size's runs must keep that size's inputs, so a list of an
+    # experiment's sizes measures what consuming it one size at a time does.
+    def counters(sized):
+        return [
+            (size, variant, stats.peak_entries, stats.expansions)
+            for size, variants in sized
+            for variant, fn in variants.items()
+            for _ms, stats in [bench._timed(fn)]
+        ]
+
+    make = bench.EXPERIMENTS[name]
+    lazy = counters(make(random.Random(5), **sizes))
+    assert counters(list(make(random.Random(5), **sizes))) == lazy
+    assert len({entry[2:] for entry in lazy}) > 1  # the sizes differ
 
 
 def test_length_scaling_alternates_variants_rep_by_rep(monkeypatch):

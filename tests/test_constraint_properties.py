@@ -192,3 +192,39 @@ def test_formatting_then_parsing_gives_the_same_spec(seed, n, emit_arity):
 
     spec = random_spec(random.Random(seed), STATES, SYMBOLS, n, emit_arity=emit_arity)
     assert parse_constraint(format_constraint(spec)) == spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_specs=st.integers(1, 2),
+    emit_arity=st.sampled_from((1, 2)),
+)
+def test_no_satisfying_extension_exceeds_the_reported_limit(seed, n_specs, emit_arity):
+    # For a history h and extensions e: when every spec accepts h + e
+    # declaratively, e enters each limited state set at most room times,
+    # room being what store_limit reports for the store h leaves.
+    from chmm.constraints import store_limit
+
+    rng = random.Random(seed)
+
+    def updates(max_len):
+        drawn = random_update_sequence(rng, STATES, SYMBOLS, max_len=max_len)
+        extra = [(rng.choice(SYMBOLS),) if emit_arity == 2 else () for _ in drawn]
+        return [StateUpdate(u.state, u.emitted + more) for u, more in zip(drawn, extra)]
+
+    specs = [random_spec(rng, STATES, SYMBOLS, 8, emit_arity=emit_arity) for _ in range(n_specs)]
+    history = updates(6)
+    for _ in range(20):
+        extension = updates(8)
+        if not all(declarative_satisfies(s, history + extension) for s in specs):
+            continue
+        for spec in specs:
+            store = init_store(spec)
+            for u in history:
+                store = check_sat(spec, u, store)
+            limit = store_limit(spec, store)
+            if limit is not None:
+                states, room = limit
+                entering = sum(1 for u in extension if states is None or u.state in states)
+                assert entering <= room, (spec, history, extension)

@@ -10,6 +10,7 @@ from chmm import (
     DecodeStats,
     ForallSubseq,
     ForRange,
+    LockToSequence,
     LockToSet,
     PairChmm,
     PairHmmParams,
@@ -180,6 +181,18 @@ class TestOpsFromLetters:
         with pytest.raises(ValueError, match="unknown alignment letter"):
             ops_from_letters("mxd")
 
+    def test_equal_operations_are_shared_and_the_shared_table_stays_bounded(self):
+        # Kept alignments hold each operation once; the table is emptied
+        # before a call once it holds more than _SHARED_OPS_MAX operations.
+        from chmm import pairhmm
+
+        first, second = ops_from_letters("mmi"), ops_from_letters("bmmd")
+        assert first[1] is second[1] and first[2] != second[2]
+        ops_from_letters("i" * (pairhmm._SHARED_OPS_MAX + 1))
+        assert len(pairhmm._SHARED_OPS) > pairhmm._SHARED_OPS_MAX
+        assert ops_from_letters("d") == (("delete", 1),)
+        assert len(pairhmm._SHARED_OPS) == 1
+
 
 class TestAlign:
     def test_empty_sequences(self):
@@ -245,22 +258,57 @@ class TestAlign:
             assert matches + deletes == len(y)
 
     def test_agrees_with_brute_force_under_general_constraints(self):
+        # Zero to two specs, with one-symbol patterns (never a match) or
+        # two-symbol ones (never a gap).
         rng = random.Random(41)
-        from chmm.random_instances import random_spec
+        from chmm.random_instances import random_constraint_set
 
-        for _ in range(40):
+        for _ in range(200):
             params = random_pair_params(rng)
-            spec = random_spec(
-                rng, ("match", "insert", "delete"), params.alphabet, n=6, emit_arity=1
+            x = tuple(rng.choice(params.alphabet) for _ in range(rng.randint(0, 5)))
+            y = tuple(rng.choice(params.alphabet) for _ in range(rng.randint(0, 5)))
+            specs = random_constraint_set(
+                rng, ("match", "insert", "delete"), params.alphabet, len(x) + len(y),
+                emit_arity=rng.choice((1, 2)),
             )
-            model = build_pair_chmm(params, (spec,))
-            x = tuple(rng.choice(params.alphabet) for _ in range(rng.randint(0, 4)))
-            y = tuple(rng.choice(params.alphabet) for _ in range(rng.randint(0, 4)))
+            model = build_pair_chmm(params, specs)
             fast = align(model, x, y)
             slow = brute_force_align(model, x, y)
-            assert (fast is None) == (slow is None), (x, y, spec)
+            assert (fast is None) == (slow is None), (x, y, specs)
             if fast is not None:
                 assert fast.log_prob == pytest.approx(slow.log_prob, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "x, y, budget",
+        [("", "", 0), ("", "ABA", 2), ("", "ABA", 3), ("AB", "", 1), ("AB", "", 2)],
+    )
+    def test_an_empty_sequence_agrees_with_brute_force(self, x, y, budget):
+        model = build_pair_chmm(uniform_pair_params(("A", "B")), (indel_budget_constraint(budget),))
+        fast, slow = align(model, x, y), brute_force_align(model, x, y)
+        assert (fast is None) == (slow is None) == (len(x) + len(y) > budget)
+        if fast is not None:
+            assert fast.ops == slow.ops
+            assert fast.log_prob == pytest.approx(slow.log_prob, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "params, specs",
+        [
+            # No symbol can be emitted by any operation, so no cell has an edge.
+            (PairHmmParams(("A", "B"), 0.1, 0.1, ((1.0, 0.0), (0.0, 0.0)), (1.0, 0.0)), ()),
+            # Every update is rejected by the checker.
+            (uniform_pair_params(("A", "B")), (Cardinality(("_",), 0),)),
+            # Every store has room for no update, so the lookahead drops all.
+            (uniform_pair_params(("A", "B")), (LockToSequence(()),)),
+        ],
+    )
+    def test_when_every_cell_before_the_last_is_empty_there_is_no_alignment(
+        self, params, specs
+    ):
+        model = build_pair_chmm(params, specs)
+        stats = DecodeStats()
+        assert align(model, "BB", "B", stats=stats) is None
+        assert brute_force_align(model, "BB", "B") is None
+        assert (stats.peak_entries, stats.expansions) == (1, 0)
 
     def test_generous_budget_equals_unconstrained_exactly(self):
         rng = random.Random(53)

@@ -42,7 +42,7 @@ from chmm.random_instances import (  # noqa: E402
 )
 
 RESULTS_EXPECTED = "8e25a0e90b280907534e53e709722a178855f40fa5091d27efbbef045626fde2"
-COUNTERS_EXPECTED = "7507ca29ae60a6a9411ac7df38e93c78353344a2dbdbd8c976dac0d7fd66d8df"
+COUNTERS_EXPECTED = "3aa3600d826340f63d1c47e9b4f6099ccbc9d6da0a19c67cace0f3c1ddffb48f"
 DECODE_INSTANCES = 3000
 BUDGET_ALIGNS = 1500
 CONSTRAINED_ALIGNS = 500
