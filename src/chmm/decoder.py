@@ -22,9 +22,9 @@ The kernel looks each arc up once, and a miss calls ``_StoreAutomaton.check``
 (``check_constraints``, then interning) and records the arc. So each distinct
 (store, update) pair is checked once per decode, and table keys are (state,
 id) integers instead of nested store tuples. The automaton is exact because
-an arc is only ever a recorded ``check_constraints`` result. With
-``prune=False`` no arc is recorded and every candidate is checked again, so
-that search stays the undeduplicated baseline.
+an arc is only ever a recorded ``check_constraints`` result. The unpruned
+baseline, ``_unpruned_viterbi``, stays apart on purpose, as ``align_plain``
+does, so it is not a mode of the code it measures.
 
 Checkers ignore the updates the lattice forces, so ``align`` hands over
 what is left with each cell and the kernel stores no new key whose store
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .constraints import (
@@ -101,8 +102,8 @@ class DecodeStats:
     ``peak_entries`` is the number of entries stored over the whole lattice
     walk, an upper bound on those held at once, as finished tables are
     released; over several decodes it keeps the largest walk's count.
-    ``stores`` is the number of interned constraint stores and ``checks``
-    the number of ``check_constraints`` calls, i.e. the automaton's misses.
+    ``stores`` counts the distinct constraint stores met, ``checks`` the
+    ``check_constraints`` calls (in the kernel, the automaton's misses).
     """
 
     expansions: int = 0
@@ -140,8 +141,8 @@ class _StoreAutomaton:
 
     def check(self, sid: int, update: StateUpdate) -> int:
         """Id of the store ``update`` leads to from store ``sid``, or -1,
-        computed by ``check_constraints`` without consulting or recording
-        the arcs."""
+        computed by ``check_constraints`` on an arc miss; the caller records
+        the arc."""
         self.checks += 1
         store = check_constraints(self.specs, update, self.stores[sid])
         if store is None:
@@ -155,7 +156,7 @@ class _StoreAutomaton:
         return nid
 
 
-def _lattice_viterbi(specs, trans_log, lattice, prune, stats, fewest=None):
+def _lattice_viterbi(specs, trans_log, lattice, stats, fewest=None):
     """Best constraint-satisfying path through a lattice, source to sink.
 
     ``trans_log[s][t]`` is the log transition probability from state index s
@@ -168,14 +169,11 @@ def _lattice_viterbi(specs, trans_log, lattice, prune, stats, fewest=None):
     is left after the node, which only ``fewest`` reads. The last node
     yielded, or the source if none is, is the sink. Each node keeps one
     entry per (state, store) key, merged by the tie rule in the module
-    docstring; with ``prune=False`` every candidate gets a key of its own
-    and its own ``check_constraints`` call, so nothing merges and nothing is
-    cached. Returns ``(log_prob, states)``, the states the best path enters
-    after the source, in order, or None. For the lookahead (only with
-    ``prune``), ``fewest(states)`` is None or a function of ``left``: the
-    fewest updates into ``states`` (names; None for all) after the node.
+    docstring. Returns ``_backtrace(sink)``. For the lookahead,
+    ``fewest(states)`` is None or a function of ``left``: the fewest updates
+    into ``states`` (names; None for all) after the node.
     """
-    automaton = _StoreAutomaton(specs, prune and fewest is not None)
+    automaton = _StoreAutomaton(specs, fewest is not None)
     ahead = [(r, f) for states, (_, r) in automaton.limits.items() if (f := fewest(states))]
     arcs = automaton.arcs
     check = automaton.check
@@ -198,16 +196,11 @@ def _lattice_viterbi(specs, trans_log, lattice, prune, stats, fewest=None):
                         continue
                     nid = arc.get(update)
                     if nid is None:
-                        nid = check(sid, update)
-                        if prune:  # else every lookup misses
-                            arc[update] = nid
+                        nid = arc[update] = check(sid, update)
                     if nid < 0:
                         continue
                     nlp = plp + lt
                     nlp += le
-                    if not prune:
-                        table[len(table)] = (nlp, t, nid, parent)
-                        continue
                     key = nid * width + t
                     old = table.get(key)
                     if old is None:
@@ -230,11 +223,42 @@ def _lattice_viterbi(specs, trans_log, lattice, prune, stats, fewest=None):
         stats.peak_entries = max(stats.peak_entries, total)
         stats.stores += len(automaton.stores)
         stats.checks += automaton.checks
+    return _backtrace(table)
 
-    best = None
-    for entry in table.values():
-        if best is None or entry[0] > best[0]:
-            best = entry
+
+def _unpruned_viterbi(specs, trans_log, lattice, stats):
+    """``_lattice_viterbi`` without store equality, criterion 6's baseline:
+    every accepted partial path keeps an entry and every candidate gets its
+    own ``check_constraints`` call. Same lattice protocol and result."""
+    start = init_aggregate(specs)
+    stores = {start}
+    table = {0: (0.0, 0, start, None)}
+    total = 1
+    checks = 0
+    for table, edges, _left in lattice(table):
+        for parents, moves in edges:
+            for parent in parents.values():
+                plp, s, store, _parent = parent
+                row = trans_log[s]
+                for t, le, update in moves:
+                    if (lt := row[t]) is None:
+                        continue
+                    checks += 1
+                    if (nstore := check_constraints(specs, update, store)) is not None:
+                        stores.add(nstore)
+                        table[len(table)] = ((plp + lt) + le, t, nstore, parent)
+        total += len(table)
+    if stats:
+        stats.expansions += total - 1
+        stats.peak_entries = max(stats.peak_entries, total)
+        stats.stores += len(stores)
+        stats.checks += checks
+    return _backtrace(table)
+
+
+def _backtrace(table):
+    """The sink's first best entry as ``(log_prob, states after the source)``, or None."""
+    best = max(table.values(), key=itemgetter(0), default=None)
     if best is None:
         return None
     states = []
@@ -259,13 +283,13 @@ def constrained_viterbi(
     eliminate every positive-probability path; unsatisfiability is a result,
     not an error. Among optimal paths the lexicographically smallest wins,
     up to the last-bit limit described in the module docstring. With
-    ``prune=False`` the search keeps every accepted partial path instead of
-    merging (state, store) keys and passes every candidate through
-    ``check_constraints`` without the automaton's cached arcs. It is only
-    tractable on small instances and exists to measure what the use of store
-    equality buys: acceptance criterion 6 asks the default search to be at
-    least 10x faster than this undeduplicated one. ``Chmm`` validated the
-    model when it was built; only the observation is checked here.
+    ``prune=False`` the separate ``_unpruned_viterbi`` runs instead of the
+    kernel: it keeps every accepted partial path and checks every candidate
+    with ``check_constraints``, no automaton. It is only tractable on small
+    instances and exists to measure what the use of store equality buys:
+    acceptance criterion 6 asks the default search to be at least 10x faster
+    than this undeduplicated one. ``Chmm`` validated the model when it was
+    built; only the observation is checked here.
     """
     hmm = chmm.hmm
     try:
@@ -293,7 +317,8 @@ def constrained_viterbi(
             pred, table = table, {}
             yield table, ((pred, moves[e]),), None
 
-    result = _lattice_viterbi(chmm.constraints, trans_log, levels, prune, stats)
+    search = _lattice_viterbi if prune else _unpruned_viterbi
+    result = search(chmm.constraints, trans_log, levels, stats)
     if result is None:
         return None
     log_prob, states = result

@@ -370,7 +370,7 @@ def align(
                     yield table, edges, (nx - i, ny - j)
             before, last = last, row
 
-    result = _lattice_viterbi(model.constraints, trans, diagonals, True, stats, fewest)
+    result = _lattice_viterbi(model.constraints, trans, diagonals, stats, fewest)
     if result is None:
         return None
     log_prob, states = result

@@ -289,6 +289,20 @@ class TestConstrainedViterbi:
                 assert without is not None
                 assert with_prune[1] == without[1]
 
+    def test_unpruned_search_builds_no_automaton(self, monkeypatch):
+        # The baseline is measured against the kernel, so it must not run
+        # on the kernel's automaton.
+        class NoAutomaton:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the unpruned search built a _StoreAutomaton")
+
+        chmm = Chmm(HMM_A, (Cardinality(["s1"], 2),))
+        obs = list("abaabba")
+        expected = brute_force_constrained(chmm, obs)
+        monkeypatch.setattr(decoder, "_StoreAutomaton", NoAutomaton)
+        assert expected is not None
+        assert constrained_viterbi(chmm, obs, prune=False) == expected
+
     def test_adding_constraints_never_improves_the_optimum(self):
         rng = random.Random(88)
         for _ in range(60):
@@ -404,7 +418,7 @@ class TestFrontierRelease:
                 # may still be alive.
                 assert [r() is None for r in refs[:-2]] == [True] * (len(refs) - 2)
 
-        result = decoder._lattice_viterbi((), trans_log, chain, True, None)
+        result = decoder._lattice_viterbi((), trans_log, chain, None)
         assert result == (0.0, [1] * 12)
         assert len(refs) == 12
 
@@ -497,6 +511,17 @@ FORM_COUNTERS = [
     ),
 ]
 
+# prune=False counters of the FORM_COUNTERS forms, in the same order
+UNPRUNED_FORM_COUNTERS = [
+    (2136, 0, 2137, 34, 2523),
+    (765, 0, 766, 4, 1146),
+    (993, 0, 994, 9, 1038),
+    (136, 0, 137, 9, 168),
+    (1368, 0, 1369, 7, 1917),
+    (510, 0, 511, 1, 765),
+    (139, 0, 140, 9, 348),
+]
+
 
 class TestCounters:
     """The kernel derives its counters once per walk, from the entries it
@@ -529,6 +554,19 @@ class TestCounters:
         stats = DecodeStats()
         chmm = Chmm(HMM_B, tuple(parse_constraint(t) for t in texts))
         constrained_viterbi(chmm, OBS_B, stats=stats)
+        assert counters(stats) == expected
+
+    @pytest.mark.parametrize(
+        "texts, expected",
+        [
+            (texts, unpruned)
+            for (texts, _), unpruned in zip(FORM_COUNTERS, UNPRUNED_FORM_COUNTERS, strict=True)
+        ],
+    )
+    def test_constraint_forms_unpruned(self, texts, expected):
+        stats = DecodeStats()
+        chmm = Chmm(HMM_B, tuple(parse_constraint(t) for t in texts))
+        constrained_viterbi(chmm, OBS_B, prune=False, stats=stats)
         assert counters(stats) == expected
 
     @pytest.mark.parametrize("texts", [texts for texts, _ in FORM_COUNTERS])
