@@ -27,10 +27,24 @@ baseline, ``_unpruned_viterbi``, stays apart on purpose, as ``align_plain``
 does, so it is not a mode of the code it measures.
 
 Checkers ignore the updates the lattice forces, so ``align`` hands over
-what is left with each cell and the kernel stores no new key whose store
-has less ``store_limit`` room than any path to the sink needs (forward
-checking, Haralick & Elliott 1980). No such entry or extension finishes, and
+each cell's index, from which ``fewest`` reads what is left, and the kernel
+stores no new key whose store has less ``store_limit`` room than any path to
+the sink needs (forward checking, Haralick & Elliott 1980). No such entry or extension finishes, and
 the test reads only store and node, so results and ties hold.
+
+With no constraint at all, ``align`` also passes a bound: h, the best
+log-probability of finishing from each node and state, from a backward
+pass, and top, that of the source. The kernel then stores no new key whose
+log-probability g plus h is over 1 nat below top (A* with a fixed floor, as
+in IDA*; Korf 1985). A key's candidates share h, and h bounds every
+extension, so the bounded search holds at each key the unbounded search's
+winner or nothing, up to rounding; a key sits where its winner arrived, so
+kept keys keep their order. Along the optimal path g + h is top up to
+rounding, well above the floor, so that path is kept and wins every merge
+and tie it won. Constraints get no bound: their optimum may lie any distance
+below top, so a floor would need a second pass when it misses; bounding
+indel budgets also flattened ``budget-scaling``, failing acceptance
+criterion 5 in 2 of 9 runs.
 
 The caller's lattice holds the tables its later nodes read (the last level
 in ``constrained_viterbi``, the last two anti-diagonals in ``align``) and
@@ -98,10 +112,10 @@ class DecodeStats:
 
     ``expansions`` counts accepted expansions and ``prunes`` the expansions
     merged into an existing entry with an equal (state, store) key; the
-    candidates the lookahead drops are neither stored nor counted.
-    ``peak_entries`` is the number of entries stored over the whole lattice
-    walk, an upper bound on those held at once, as finished tables are
-    released; over several decodes it keeps the largest walk's count.
+    candidates the lookahead or the bound drops are neither stored nor
+    counted. ``peak_entries`` is the number of entries stored over the whole
+    lattice walk, an upper bound on those held at once, as finished tables
+    are released; over several decodes it keeps the largest walk's count.
     ``stores`` counts the distinct constraint stores met, ``checks`` the
     ``check_constraints`` calls (in the kernel, the automaton's misses).
     """
@@ -156,25 +170,33 @@ class _StoreAutomaton:
         return nid
 
 
-def _lattice_viterbi(specs, trans_log, lattice, stats, fewest=None):
+def _lattice_viterbi(specs, trans_log, lattice, stats, fewest=None, bound=None):
     """Best constraint-satisfying path through a lattice, source to sink.
 
     ``trans_log[s][t]`` is the log transition probability from state index s
     to t, or None where the transition is impossible. The source table holds
     state 0 with the initial stores. ``lattice(source_table)`` yields the
-    further nodes in topological order as ``(table, edges, left)``: a fresh
+    further nodes in topological order as ``(table, edges, at)``: a fresh
     dict for the kernel to fill, edges ``(predecessor's table, moves)``, each
     move ``(t, emit_log, update)`` entering state t with emission
-    log-probability ``emit_log`` and constraint update ``update``, and what
-    is left after the node, which only ``fewest`` reads. The last node
-    yielded, or the source if none is, is the sink. Each node keeps one
+    log-probability ``emit_log`` and constraint update ``update``, and the
+    node's index into the per-node data of ``fewest`` and ``bound``. The last
+    node yielded, or the source if none is, is the sink. Each node keeps one
     entry per (state, store) key, merged by the tie rule in the module
     docstring. Returns ``_backtrace(sink)``. For the lookahead,
-    ``fewest(states)`` is None or a function of ``left``: the fewest updates
-    into ``states`` (names; None for all) after the node.
+    ``fewest(states)`` is None or a function of ``at``: the fewest updates
+    into ``states`` (names; None for all) after the node. ``bound``, for a
+    search with no specs only, is ``(top, completion)``: ``completion[t][at]``
+    is the best log-probability of finishing from the node in state t, and
+    ``top`` that of the source; no new key more than 1 nat below ``top``
+    (plus tol = 1e-9 * max(1, |top|)) is stored, and none if top is -inf.
     """
     automaton = _StoreAutomaton(specs, fewest is not None)
     ahead = [(r, f) for states, (_, r) in automaton.limits.items() if (f := fewest(states))]
+    completion, floor = (), None
+    if bound:
+        top, completion = bound
+        floor = top - 1.0 - 1e-9 * max(1.0, abs(top)) if top > NEG_INF else math.inf
     arcs = automaton.arcs
     check = automaton.check
     width = len(trans_log)
@@ -183,8 +205,8 @@ def _lattice_viterbi(specs, trans_log, lattice, stats, fewest=None):
     table = {0: (0.0, 0, 0, None)}
     total = 1
     merges = 0
-    for table, edges, left in lattice(table):
-        needs = ahead and [(rooms, f(left)) for rooms, f in ahead]
+    for table, edges, at in lattice(table):
+        needs = ahead and [(rooms, f(at)) for rooms, f in ahead]
         for parents, moves in edges:
             for parent in parents.values():
                 plp, s, sid, _parent = parent
@@ -204,6 +226,8 @@ def _lattice_viterbi(specs, trans_log, lattice, stats, fewest=None):
                     key = nid * width + t
                     old = table.get(key)
                     if old is None:
+                        if completion and nlp + completion[t][at] < floor:
+                            continue  # no completion comes near the optimum
                         for rooms, need in needs:
                             if rooms[nid] < need:
                                 break  # the store cannot finish from this node
@@ -235,7 +259,7 @@ def _unpruned_viterbi(specs, trans_log, lattice, stats):
     table = {0: (0.0, 0, start, None)}
     total = 1
     checks = 0
-    for table, edges, _left in lattice(table):
+    for table, edges, _at in lattice(table):
         for parents, moves in edges:
             for parent in parents.values():
                 plp, s, store, _parent = parent

@@ -20,6 +20,7 @@ that builds, checks, scores, enumerates or prints operations reads it, except
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -315,11 +316,14 @@ def align(
     candidates come from its match, insert and delete predecessors in that
     order. Ties are broken where partial alignments merge, so alignments with
     bit-identical scores can still lose by a last-bit partial-sum difference.
+    Under a constraint with a ``store_limit`` the kernel looks ahead; with no
+    constraint at all a backward pass bounds it (``decoder`` docstring).
     """
     _check_symbols(model.params.alphabet, x, y)
     x = tuple(x)
     y = tuple(y)
     nx, ny = len(x), len(y)
+    w = ny + 1  # cell (i, j) is index i * w + j
     params = model.params
     trans = [[params.transition_log.get((a, b)) for b in PAIR_STATES] for a in PAIR_STATES]
     elog = params.emission_log
@@ -337,11 +341,15 @@ def align(
     )
 
     def fewest(states):
-        # Left (rx, ry): m <= min(rx, ry) matches, rx - m inserts, ry - m deletes.
+        # Left after cell c: rx = nx - i and ry = ny - j, from m <= min(rx, ry)
+        # matches, rx - m inserts and ry - m deletes.
         wm, wi, wd = (states is None or op[0] in states for op in _PAIR_OPS)
         if wi or wd:
-            c = min(0, wm - wi - wd)
-            return lambda left: wi * left[0] + wd * left[1] + c * min(left)
+            k = min(0, wm - wi - wd)
+            def need(c):
+                rx, ry = nx - c // w, ny - c % w
+                return wi * rx + wd * ry + k * min(rx, ry)
+            return need
 
     def diagonals(source):
         # The tables of anti-diagonals i + j = t - 2 and t - 1, by i, or None for
@@ -367,10 +375,36 @@ def align(
                         edges.append((pred, moves))
                 if edges or t == nx + ny:
                     row[i] = table = {}
-                    yield table, edges, (nx - i, ny - j)
+                    yield table, edges, i * w + j
             before, last = last, row
 
-    result = _lattice_viterbi(model.constraints, trans, diagonals, stats, fewest)
+    bound = None
+    if not model.constraints:
+        # Backward Viterbi: hm, hi, hd[c] are the best log-probs of finishing
+        # from cell c in match, insert, delete (or -inf). Emissions past the
+        # last row and column are -inf; w cells of padding follow.
+        tl = [[NEG_INF if lt is None else lt for lt in row[1:]] for row in trans[1:]]
+        (mm, mi, md), (im, ii, id_), (dm, di, dd) = tl
+        hm, hi, hd = [array("d", [NEG_INF]) * ((nx + 2) * w) for _ in _PAIR_OPS]
+        hm[-w - 1] = hi[-w - 1] = hd[-w - 1] = 0.0  # the last cell
+        ld = [delete_moves[b][0][1] if b in delete_moves else NEG_INF for b in y] + [NEG_INF]
+        for i in range(nx, -1, -1):
+            a = x[i] if i < nx else None
+            li = insert_moves[a][0][1] if a in insert_moves else NEG_INF
+            lm = [m[0][1] if (m := match_moves.get((a, b))) else NEG_INF for b in y] + [NEG_INF]
+            base, up = i * w, (i + 1) * w
+            for j in range(ny - (i == nx), -1, -1):
+                c = base + j
+                vm = lm[j] + hm[up + j + 1]
+                vi = li + hi[up + j]
+                vd = ld[j] + hd[c + 1]
+                hm[c] = max(mm + vm, mi + vi, md + vd)
+                hi[c] = max(im + vm, ii + vi, id_ + vd)
+                hd[c] = max(dm + vm, di + vi, dd + vd)
+        # Begin shares match's transition row, so it finishes as match does.
+        bound = (hm[0], (hm, hm, hi, hd))
+
+    result = _lattice_viterbi(model.constraints, trans, diagonals, stats, fewest, bound)
     if result is None:
         return None
     log_prob, states = result

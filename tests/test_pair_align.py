@@ -25,7 +25,9 @@ from chmm import (
     uniform_pair_params,
     validate_pair_params,
 )
+from chmm import decoder, init_aggregate, pairhmm
 from chmm.bench import indel_budget_constraint
+from chmm.constraints import store_limit
 from chmm.random_instances import random_pair_params
 
 
@@ -184,8 +186,6 @@ class TestOpsFromLetters:
     def test_equal_operations_are_shared_and_the_shared_table_stays_bounded(self):
         # Kept alignments hold each operation once; the table is emptied
         # before a call once it holds more than _SHARED_OPS_MAX operations.
-        from chmm import pairhmm
-
         first, second = ops_from_letters("mmi"), ops_from_letters("bmmd")
         assert first[1] is second[1] and first[2] != second[2]
         ops_from_letters("i" * (pairhmm._SHARED_OPS_MAX + 1))
@@ -295,6 +295,9 @@ class TestAlign:
         [
             # No symbol can be emitted by any operation, so no cell has an edge.
             (PairHmmParams(("A", "B"), 0.1, 0.1, ((1.0, 0.0), (0.0, 0.0)), (1.0, 0.0)), ()),
+            # Only the pair (B, B) can be emitted: cell (1, 1) is reachable but
+            # nothing finishes, so the bound's top is -inf and nothing is stored.
+            (PairHmmParams(("A", "B"), 0.1, 0.1, ((0.0, 0.0), (0.0, 1.0)), (1.0, 0.0)), ()),
             # Every update is rejected by the checker.
             (uniform_pair_params(("A", "B")), (Cardinality(("_",), 0),)),
             # Every store has room for no update, so the lookahead drops all.
@@ -401,14 +404,69 @@ class TestAlign:
         assert unconstrained is not None
 
 
+def unlimited_spec(rng, alphabet):
+    """One constraint of a form that reports no ``store_limit``."""
+    def pattern():
+        a, b = rng.choice(alphabet), rng.choice(alphabet)
+        return rng.choice(("insert", "delete", ("match", a, b), ("insert", a), ("delete", b)))
+
+    def allowed():
+        return LockToSet(tuple(pattern() for _ in range(rng.randint(1, 4))))
+
+    first = rng.randint(1, 4)
+    return rng.choice((
+        AllDiff(),
+        ForallSubseq(rng.randint(2, 3), AllDiff()),
+        allowed(),
+        ForRange(first, first + rng.randint(0, 3), allowed()),
+        StateSpecific(ForallSubseq(rng.randint(2, 3), AllDiff())),
+    ))
+
+
+class TestBound:
+    """``align`` with no constraint runs the kernel with the bound of a
+    backward pass; it must change no result and no tie. A third of the
+    instances carry one unlimited constraint, which is searched unbounded."""
+
+    def test_agrees_with_brute_force_and_with_the_unbounded_search(self, monkeypatch):
+        rng = random.Random(71)
+        cases = []
+        for k in range(320):
+            params = uniform_pair_params(("A", "B")) if k % 2 else random_pair_params(rng)
+            x = tuple(rng.choice(params.alphabet) for _ in range(rng.randint(0, 6)))
+            y = tuple(rng.choice(params.alphabet) for _ in range(rng.randint(0, 6)))
+            specs = () if k % 3 else (unlimited_spec(rng, params.alphabet),)
+            assert not any(map(store_limit, specs, init_aggregate(specs)))
+            cases.append((build_pair_chmm(params, specs), x, y))
+        bounded = [align(model, x, y) for model, x, y in cases]
+        found = 0
+        for (model, x, y), fast in zip(cases, bounded):
+            slow = brute_force_align(model, x, y)
+            assert (fast is None) == (slow is None), (x, y, model.constraints)
+            if fast is not None:
+                found += 1
+                assert abs(fast.log_prob - slow.log_prob) <= 1e-9
+                assert alignment_log_probability(model, x, y, fast) == fast.log_prob
+        assert found >= 200
+        # The same kernel without the bound returns the same ops and bits.
+        monkeypatch.setattr(
+            pairhmm, "_lattice_viterbi",
+            lambda specs, trans, lattice, stats, fewest, bound: decoder._lattice_viterbi(
+                specs, trans, lattice, stats, fewest
+            ),
+        )
+        assert [align(model, x, y) for model, x, y in cases] == bounded
+
+
 class TestAlignPlain:
     """The unconstrained baseline, checked on its own rather than through
     ``align``."""
 
     def test_counters_on_a_tie_heavy_pair(self):
         # Uniform emissions make many partial alignments tie; the pinned
-        # counters and the ops are those of the previous implementation and
-        # of ``align`` on the empty model.
+        # counters and the ops are those of the previous implementation, and
+        # ``align`` on the empty model finds the same ops. Its bound stores
+        # only the entries that can still come within 1 nat of the optimum.
         rng = random.Random(40)
         x = "".join(rng.choice("ACGT") for _ in range(40))
         y = "".join(rng.choice("ACGT") for _ in range(40))
@@ -418,7 +476,9 @@ class TestAlignPlain:
         constrained = align(build_pair_chmm(params), x, y, stats=stats)
         counters = (plain_stats.expansions, plain_stats.prunes, plain_stats.peak_entries)
         assert counters == (10804, 6004, 4801)
-        assert counters == (stats.expansions, stats.prunes, stats.peak_entries)
+        bounded = (stats.expansions, stats.prunes, stats.peak_entries)
+        assert bounded == (40, 0, 41)
+        assert all(b <= p for b, p in zip(bounded, counters))
         assert plain == constrained
 
     def test_agrees_with_brute_force(self):

@@ -42,7 +42,7 @@ from chmm.random_instances import (  # noqa: E402
 )
 
 RESULTS_EXPECTED = "8e25a0e90b280907534e53e709722a178855f40fa5091d27efbbef045626fde2"
-COUNTERS_EXPECTED = "3aa3600d826340f63d1c47e9b4f6099ccbc9d6da0a19c67cace0f3c1ddffb48f"
+COUNTERS_EXPECTED = "aff4f4b07e4cc76ef0ee55eb78a2a4ded78393fafc5919242fde55919c3b20bd"
 DECODE_INSTANCES = 3000
 BUDGET_ALIGNS = 1500
 CONSTRAINED_ALIGNS = 500
